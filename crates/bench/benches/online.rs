@@ -8,8 +8,9 @@
 //! `PassJoin::rs_join` from scratch), and `query-cached` (a repeating
 //! query mix through the LRU cache).
 //!
-//! The `keys` group compares the segment-key backends (owned bytes vs.
-//! integer-interned) on build and probe throughput, printing each side's
+//! The `keys` group compares the two segment stores — the owned map of a
+//! built index and the sorted runs of the same index reopened with
+//! `OnlineIndex::load_direct` — on probe throughput, printing each side's
 //! resident index size.
 //!
 //! The `persist` group measures the restart paths: `save` (snapshot
@@ -53,8 +54,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use datagen::{DatasetKind, DatasetSpec};
 use passjoin::PassJoin;
 use passjoin_online::{
-    CachePolicy, EngineObs, ExecBudget, KeyBackend, OnlineIndex, Parallelism, Queryable,
-    SearchRequest,
+    CachePolicy, EngineObs, ExecBudget, OnlineIndex, Parallelism, Queryable, SearchRequest,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,19 +153,17 @@ fn bench_online(c: &mut Criterion) {
     group.finish();
 }
 
-/// Key-backend comparison (paper §6, "encode segments as integers"): the
-/// same corpus through an owned-key and an interned-key index.
+/// Segment-store comparison: the same corpus probed through the owned map
+/// of a built index and through the sorted runs of that index saved and
+/// reopened with `OnlineIndex::load_direct`.
 ///
-/// * `build` — insertion throughput (the interned side pays dictionary
-///   interning up front);
+/// * `build` — insertion throughput of the owned map (the direct store is
+///   never built: the snapshot buffer is the index);
 /// * `probe` — the serving mix (half exact, half mutated queries): mostly
-///   *verification*-bound, so it shows whether the backend swap is free on
-///   an end-to-end hot path;
+///   *verification*-bound;
 /// * `probe-miss` — matchless queries: nothing survives to verification,
-///   so this isolates the probe machinery itself. The interned side
-///   resolves each probed substring against the dictionary once (memoized
-///   per query) and a global miss short-circuits every `(l, slot)` probe
-///   of that substring, while the owned side re-hashes it per probe.
+///   so this isolates the probe machinery itself (a hash lookup per probe
+///   vs. a binary search of the run table).
 ///
 /// Resident index sizes are printed so the README's memory numbers come
 /// from the same run.
@@ -181,47 +179,40 @@ fn bench_keys(c: &mut Criterion) {
             (0..len).map(|_| rng.gen_range(b'0'..=b'9')).collect()
         })
         .collect();
-    let backends = [KeyBackend::Owned, KeyBackend::Interned];
 
     let mut group = c.benchmark_group("keys");
     group.sample_size(10);
 
     group.throughput(Throughput::Elements(CORPUS_N as u64));
-    for backend in backends {
-        group.bench_with_input(
-            BenchmarkId::new("build", backend.name()),
-            &strings,
-            |b, strings| {
-                b.iter(|| {
-                    OnlineIndex::builder(TAU)
-                        .key_backend(backend)
-                        .build_from(strings.iter())
-                })
-            },
-        );
-    }
+    group.bench_with_input(
+        BenchmarkId::new("build", "owned"),
+        &strings,
+        |b, strings| b.iter(|| OnlineIndex::from_strings(strings.iter(), TAU)),
+    );
+
+    let built = OnlineIndex::from_strings(strings.iter(), TAU);
+    let path =
+        std::env::temp_dir().join(format!("passjoin-bench-keys-{}.snap", std::process::id()));
+    built.save(&path).expect("snapshot save");
+    let direct = OnlineIndex::load_direct(&path).expect("direct load");
+    let _ = std::fs::remove_file(&path);
 
     group.throughput(Throughput::Elements(QUERY_N as u64));
     let hit_reqs = SearchRequest::uniform(&queries, TAU);
     let miss_reqs = SearchRequest::uniform(&miss_queries, TAU);
-    for backend in backends {
-        let index = OnlineIndex::builder(TAU)
-            .key_backend(backend)
-            .build_from(strings.iter());
+    for index in [built, direct] {
+        let store = index.key_backend().name();
         let stats = index.stats();
         eprintln!(
-            "keys/{}: {} segment entries, resident index ~{} KB",
-            backend.name(),
+            "keys/{store}: {} segment entries, resident index ~{} KB",
             stats.segment_entries,
             stats.resident_bytes / 1024,
         );
+        group.bench_with_input(BenchmarkId::new("probe", store), &hit_reqs, |b, reqs| {
+            b.iter(|| index.search_batch(reqs))
+        });
         group.bench_with_input(
-            BenchmarkId::new("probe", backend.name()),
-            &hit_reqs,
-            |b, reqs| b.iter(|| index.search_batch(reqs)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("probe-miss", backend.name()),
+            BenchmarkId::new("probe-miss", store),
             &miss_reqs,
             |b, reqs| b.iter(|| index.search_batch(reqs)),
         );

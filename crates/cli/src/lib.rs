@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use edjoin::EdJoin;
 use passjoin::PassJoin;
-use passjoin_online::{KeyBackend, OnlineIndex, ShardBy, ShardedIndex};
+use passjoin_online::{OnlineIndex, ShardBy, ShardedIndex};
 use sj_common::{JoinOutput, SimilarityJoin, StringCollection};
 use triejoin::TrieJoin;
 
@@ -75,19 +75,17 @@ pub struct Config {
 pub const USAGE: &str = "usage:
   simjoin <corpus.txt> --tau N [--algorithm pass|pass-par|ed|trie] [--q N]
           [--threads N] [--out pairs.txt] [--stats]
-  simjoin index <corpus.txt> [--tau-max N] [--keys owned|interned]
-          [--shards N] [--shard-by len|hash] [--save index.snap] [--stats]
-          [--metrics]
+  simjoin index <corpus.txt> [--tau-max N] [--shards N]
+          [--shard-by len|hash] [--save index.snap] [--stats] [--metrics]
   simjoin query <corpus.txt | --load index.snap> [--tau N] [--tau-max N]
-          [--keys owned|interned] [--shards N] [--shard-by len|hash]
-          [--mmap] [--queries q.txt] [--threads N]
-          [--cache N] [--limit K] [--count] [--stream] [--max-verify N]
-          [--deadline-ms N] [--stats] [--metrics]
+          [--shards N] [--shard-by len|hash] [--mmap] [--queries q.txt]
+          [--threads N] [--cache N] [--limit K] [--count] [--stream]
+          [--max-verify N] [--deadline-ms N] [--stats] [--metrics]
   simjoin repl  <corpus.txt | --load index.snap> [--tau N] [--tau-max N]
-          [--keys owned|interned] [--cache N] [--mmap] [--save-delta]
+          [--cache N] [--mmap] [--save-delta]
   simjoin serve <corpus.txt | --load index.snap> [--addr HOST:PORT] [--tau N]
-          [--tau-max N] [--keys owned|interned] [--shards N]
-          [--shard-by len|hash] [--threads N] [--cache N] [--mmap]
+          [--tau-max N] [--shards N] [--shard-by len|hash] [--threads N]
+          [--cache N] [--mmap]
           [--checkpoint-every SECS] [--checkpoint-path FILE]
           [--max-verify-ceiling N] [--deadline-ms N] [--allow-shutdown]
           [--stats]
@@ -218,9 +216,6 @@ pub struct ServeConfig {
     /// Largest supported per-query threshold (the index partitions for
     /// this); defaults to `tau`. With `--load` the snapshot dictates it.
     pub tau_max: usize,
-    /// Segment-key backend for a corpus-built index (`--keys`); the
-    /// snapshot dictates it with `--load`.
-    pub keys: KeyBackend,
     /// Shard count for a corpus-built index (`--shards`, index/query/
     /// serve); 1 (the default) builds a plain single index, ≥ 2 builds a
     /// `ShardedIndex` router. A loaded snapshot dictates its own layout.
@@ -292,7 +287,6 @@ impl ServeConfig {
         let mut save = None;
         let mut tau: Option<usize> = None;
         let mut tau_max: Option<usize> = None;
-        let mut keys: Option<KeyBackend> = None;
         let mut shards: Option<usize> = None;
         let mut shard_by: Option<ShardBy> = None;
         let mut queries = None;
@@ -441,18 +435,6 @@ impl ServeConfig {
                     })?);
                 }
                 "--tau-max" => tau_max = Some(take_number(&mut it, "--tau-max")?),
-                "--keys" => {
-                    let v = it.next().ok_or("--keys requires a value")?;
-                    keys = Some(match v.as_str() {
-                        "owned" => KeyBackend::Owned,
-                        "interned" => KeyBackend::Interned,
-                        other => {
-                            return Err(format!(
-                                "unknown key backend '{other}' (expected owned or interned)"
-                            ));
-                        }
-                    });
-                }
                 "--save" => {
                     save = Some(PathBuf::from(it.next().ok_or("--save requires a path")?));
                 }
@@ -509,9 +491,6 @@ impl ServeConfig {
                         "--tau-max is fixed by the snapshot and not valid with --load".into(),
                     );
                 }
-                if keys.is_some() {
-                    return Err("--keys is fixed by the snapshot and not valid with --load".into());
-                }
                 if shards.is_some() || shard_by.is_some() {
                     return Err(
                         "--shards/--shard-by are fixed by the snapshot and not valid with --load"
@@ -543,7 +522,6 @@ impl ServeConfig {
             tau,
             tau_explicit,
             tau_max,
-            keys: keys.unwrap_or_default(),
             shards: shards.unwrap_or(1),
             shard_by: shard_by.unwrap_or_default(),
             save,
@@ -571,7 +549,6 @@ impl ServeConfig {
     /// empty lines included so numbering matches the file).
     pub fn build_index(&self, lines: &[Vec<u8>]) -> OnlineIndex {
         OnlineIndex::builder(self.tau_max)
-            .key_backend(self.keys)
             .cache_capacity(self.cache)
             .build_from(lines.iter())
     }
@@ -582,7 +559,6 @@ impl ServeConfig {
         ShardedIndex::builder(self.tau_max)
             .shards(self.shards)
             .shard_by(self.shard_by)
-            .key_backend(self.keys)
             .cache_capacity(self.cache)
             .build_from(lines.iter())
     }
@@ -1287,38 +1263,6 @@ mod tests {
         assert!(parse_command(&["query", "a.txt", "--deadline-ms"]).is_err());
         assert!(parse_command(&["query", "a.txt", "--deadline-ms", "0"]).is_err());
         assert!(parse_command(&["query", "a.txt", "--deadline-ms", "x"]).is_err());
-    }
-
-    #[test]
-    fn keys_flag_selects_the_backend() {
-        // Default is owned.
-        match parse_command(&["index", "a.txt"]).unwrap() {
-            Command::Serve(c) => assert_eq!(c.keys, KeyBackend::Owned),
-            other => panic!("{other:?}"),
-        }
-        for (mode, expected) in [
-            ("owned", KeyBackend::Owned),
-            ("interned", KeyBackend::Interned),
-        ] {
-            match parse_command(&["index", "a.txt", "--keys", mode]).unwrap() {
-                Command::Serve(c) => assert_eq!(c.keys, expected, "{mode}"),
-                other => panic!("{other:?}"),
-            }
-        }
-        match parse_command(&["query", "a.txt", "--keys", "interned", "--tau", "1"]).unwrap() {
-            Command::Serve(c) => {
-                assert_eq!(c.keys, KeyBackend::Interned);
-                // And the built index actually uses it.
-                let index = c.build_index(&corpus_lines("vldb\npvldb\n"));
-                assert_eq!(index.key_backend(), KeyBackend::Interned);
-                assert_eq!(index.matches(b"vldb", 1), vec![(0, 0), (1, 1)]);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Bad values and bad combinations are rejected.
-        assert!(parse_command(&["index", "a.txt", "--keys"]).is_err());
-        assert!(parse_command(&["index", "a.txt", "--keys", "boxed"]).is_err());
-        assert!(parse_command(&["query", "--load", "x.snap", "--keys", "interned"]).is_err());
     }
 
     #[test]

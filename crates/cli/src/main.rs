@@ -21,9 +21,6 @@
 //! simjoin serve --load corpus.snap --mmap --checkpoint-every 30
 //! simjoin repl  --load corpus.snap --save-delta
 //!
-//! # integer-interned segment keys (smaller index, same answers)
-//! simjoin index corpus.txt --tau-max 3 --keys interned --save corpus.snap
-//!
 //! # streaming + budgets: emit matches as they verify, cap work per query
 //! simjoin query corpus.txt --tau 2 --queries q.txt --stream --max-verify 1000 --stats
 //!
@@ -549,7 +546,7 @@ fn obtain_index(config: &ServeConfig, obs: Option<&Arc<EngineObs>>) -> Result<An
                         router.len(),
                         router.shard_count(),
                         config.tau_max,
-                        config.keys.name(),
+                        router.key_backend().name(),
                         config.shard_by.name(),
                         built.elapsed(),
                     );

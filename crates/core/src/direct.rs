@@ -1,11 +1,10 @@
 //! Direct-probe segment postings: binary search straight over a loaded
 //! snapshot buffer, no hash-map rebuild.
 //!
-//! The hash-map backends ([`SegmentMap`](crate::SegmentMap),
-//! [`InternedSegmentIndex`](crate::InternedSegmentIndex)) answer
+//! The hash-map backend ([`SegmentMap`](crate::SegmentMap)) answers
 //! `L_l^slot(seg)` in O(1) but must be *built* — every posting replayed
 //! into a map — so loading a snapshot costs time proportional to the
-//! index. [`DirectSegmentIndex`] is the third backend behind
+//! index. [`DirectSegmentIndex`] is the other backend behind
 //! [`SegmentProbe`](crate::SegmentProbe): the snapshot carries the
 //! postings as sorted arrays (a per-length run directory, a fixed-width
 //! run table ordered by `(l, slot, key)`, a key-bytes blob, and an id
@@ -64,8 +63,8 @@ enum IdsView {
 
 /// Sorted-array segment postings probed directly from a snapshot buffer.
 ///
-/// Implements [`SegmentProbe`](crate::SegmentProbe) next to the owned and
-/// interned backends; the query drivers cannot tell them apart (and the
+/// Implements [`SegmentProbe`](crate::SegmentProbe) next to the hash-map
+/// backend; the query drivers cannot tell them apart (and the
 /// differential suites pin that their answers are byte-identical).
 #[derive(Debug, Clone)]
 pub struct DirectSegmentIndex {

@@ -15,13 +15,8 @@
 //!   every length at once, and supports out-of-order
 //!   [`SegmentMap::insert_owned`] and [`SegmentMap::remove_owned`] — the
 //!   substrate of the `passjoin-online` crate's dynamic collections.
-//! * [`crate::InternedSegmentIndex`] (`K = SegId`) — the paper's §6
-//!   "encode segments as integers" optimization: a [`crate::SegmentInterner`]
-//!   maps each distinct segment byte string to a dense `u32` id once, and
-//!   the per-`(l, slot)` maps are keyed by that integer (see the
-//!   [`crate::intern`] module).
 //!
-//! All variants share probing, accounting, and eviction code; they differ
+//! Both variants share probing, accounting, and eviction code; they differ
 //! only in how a segment key is materialized at insertion time. Probing
 //! code that only needs byte-string lookups is generic over
 //! [`SegmentProbe`], which every variant implements.
@@ -36,18 +31,15 @@ use crate::partition::PartitionScheme;
 
 /// A segment key: hashable, comparable, and accountable.
 ///
-/// Implemented by `&[u8]` (borrowed from an arena), `Box<[u8]>` (owned),
-/// and [`crate::SegId`] (interned integer). The two hooks let the shared
-/// [`SegmentMap`] machinery stay byte-agnostic:
+/// Implemented by `&[u8]` (borrowed from an arena) and `Box<[u8]>`
+/// (owned). The two hooks let the shared [`SegmentMap`] machinery stay
+/// agnostic of how a key holds its bytes:
 ///
 /// * [`SegmentKey::stored_bytes`] — what one distinct key of a
 ///   `seg_len`-byte segment costs in the [`SegmentMap::live_bytes`]
-///   estimator (byte keys are charged their segment bytes, integer keys a
-///   fixed 4 bytes — the interner's shared table is accounted separately);
+///   estimator;
 /// * [`SegmentKey::matches_seg_len`] — the restore-path validation hook:
-///   byte keys must be exactly as long as the partition geometry says,
-///   while integer keys carry no bytes here (their geometry is validated
-///   against the interner table instead).
+///   a key must be exactly as long as the partition geometry says.
 pub trait SegmentKey: Hash + Eq {
     /// Estimator bytes charged per distinct key of a `seg_len`-byte segment.
     fn stored_bytes(seg_len: usize) -> u64;
@@ -73,9 +65,7 @@ impl SegmentKey for &[u8] {
 impl SegmentKey for Box<[u8]> {
     fn stored_bytes(seg_len: usize) -> u64 {
         // An owned key really stores a fat pointer in the map entry plus
-        // its own heap bytes — counting both is what makes the estimator
-        // comparable with the interned backend (4-byte in-map id + one
-        // shared dictionary entry per distinct byte string).
+        // its own heap bytes; the estimator counts both.
         16 + seg_len as u64
     }
 
@@ -87,10 +77,9 @@ impl SegmentKey for Box<[u8]> {
 /// Byte-string probing over any segment index backend.
 ///
 /// The join/query drivers probe with a substring of the query and neither
-/// know nor care how the index stores its keys: byte-keyed maps look the
-/// substring up directly, while the interned backend resolves it to an
-/// integer id once and then does an integer-keyed lookup. `probe.rs` and
-/// the online query path are generic over this trait.
+/// know nor care how the index stores its keys: byte-keyed maps hash the
+/// substring, while [`crate::DirectSegmentIndex`] binary-searches sorted
+/// runs of a loaded snapshot. `probe.rs` is generic over this trait.
 pub trait SegmentProbe {
     /// True if any string of length `l` is indexed.
     fn has_length(&self, l: usize) -> bool;
@@ -128,17 +117,6 @@ pub type SegmentIndex<'a> = SegmentMap<&'a [u8]>;
 
 /// The online index substrate: keys own their segment bytes.
 pub type OwnedSegmentIndex = SegmentMap<Box<[u8]>>;
-
-/// What [`SegmentMap::remove_posting`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PostingRemoval {
-    /// The id was not indexed under this key.
-    Absent,
-    /// The id was removed; other ids remain under the key.
-    Removed,
-    /// The id was removed and its list emptied, so the key was dropped.
-    RemovedAndKeyDropped,
-}
 
 /// The inverted segment indices of a Pass-Join scan or online collection,
 /// generic over key storage (see the module docs).
@@ -201,9 +179,7 @@ impl<K: SegmentKey> SegmentMap<K> {
     }
 
     /// Appends `id` to the inverted list under `key` at `(len, slot)`,
-    /// creating the list if the key is new; returns `true` exactly when
-    /// the key was newly created (the interned backend syncs its liveness
-    /// counts off this). `sorted` places the id by binary search instead
+    /// creating the list if the key is new. `sorted` places the id by binary search instead
     /// of pushing; plain pushes keep the scan's ascending-id invariant
     /// assertion. `seg_len` is the segment's byte length (accounting).
     pub(crate) fn insert_posting(
@@ -214,7 +190,7 @@ impl<K: SegmentKey> SegmentMap<K> {
         key: K,
         id: StringId,
         sorted: bool,
-    ) -> bool {
+    ) {
         debug_assert!(len > self.tau, "short strings use the fallback path");
         debug_assert!((1..=self.tau + 1).contains(&slot));
         if len >= self.per_len.len() {
@@ -232,7 +208,7 @@ impl<K: SegmentKey> SegmentMap<K> {
             match list.binary_search(&id) {
                 Ok(_) => {
                     debug_assert!(false, "id {id} already indexed at length {len}");
-                    return new_key;
+                    return;
                 }
                 Err(pos) => list.insert(pos, id),
             }
@@ -246,13 +222,13 @@ impl<K: SegmentKey> SegmentMap<K> {
             self.key_bytes += K::stored_bytes(seg_len);
         }
         self.peak_bytes = self.peak_bytes.max(self.live_bytes());
-        new_key
     }
 
     /// Removes `id` from the inverted list under `key` at `(l, slot)`,
-    /// dropping the key when its list empties. `seg_len` is the segment's
-    /// byte length (accounting). Callers that may empty a whole length row
-    /// should follow up with [`SegmentMap::prune_length_row`].
+    /// dropping the key when its list empties; returns whether the id was
+    /// there. `seg_len` is the segment's byte length (accounting). Callers
+    /// that may empty a whole length row should follow up with
+    /// [`SegmentMap::prune_length_row`].
     pub(crate) fn remove_posting<Q>(
         &mut self,
         l: usize,
@@ -260,20 +236,20 @@ impl<K: SegmentKey> SegmentMap<K> {
         seg_len: usize,
         key: &Q,
         id: StringId,
-    ) -> PostingRemoval
+    ) -> bool
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let Some(Some(slot_maps)) = self.per_len.get_mut(l) else {
-            return PostingRemoval::Absent;
+            return false;
         };
         let map = &mut slot_maps[slot - 1];
         let Some(list) = map.get_mut(key) else {
-            return PostingRemoval::Absent;
+            return false;
         };
         let Ok(pos) = list.binary_search(&id) else {
-            return PostingRemoval::Absent;
+            return false;
         };
         list.remove(pos);
         self.entries -= 1;
@@ -281,10 +257,8 @@ impl<K: SegmentKey> SegmentMap<K> {
             map.remove(key);
             self.distinct_keys -= 1;
             self.key_bytes -= K::stored_bytes(seg_len);
-            PostingRemoval::RemovedAndKeyDropped
-        } else {
-            PostingRemoval::Removed
         }
+        true
     }
 
     /// Reclaims length row `l` if every slot map is empty (so `has_length`
@@ -298,8 +272,7 @@ impl<K: SegmentKey> SegmentMap<K> {
     }
 
     /// The inverted list under `key` at `(l, slot)`, for any borrowable
-    /// view `Q` of the key type (bytes for byte-keyed maps, [`crate::SegId`]
-    /// for the interned map).
+    /// view `Q` of the key type.
     #[inline]
     pub fn probe_key<Q>(&self, l: usize, slot: usize, key: &Q) -> Option<&[StringId]>
     where
@@ -420,7 +393,7 @@ impl<K: SegmentKey> SegmentMap<K> {
     /// since the caller may be feeding it attacker- or corruption-shaped
     /// data that passed checksums: the slot must exist for this τ, the
     /// length must be partitionable, the key must match the partition
-    /// geometry (byte keys only — see [`SegmentKey::matches_seg_len`]),
+    /// geometry ([`SegmentKey::matches_seg_len`]),
     /// ids must be strictly ascending, and the `(l, slot, key)` triple
     /// must not already be present.
     pub fn restore_posting(
@@ -538,14 +511,13 @@ impl SegmentMap<Box<[u8]>> {
         for slot in 1..=self.tau + 1 {
             let seg = self.scheme.segment(l, self.tau, slot);
             let key = &s[seg.start..seg.end()];
-            match self.remove_posting(l, slot, seg.len, key, id) {
-                PostingRemoval::Absent => {
-                    debug_assert!(
-                        !found,
-                        "segments of one id must be all present or all absent"
-                    );
-                }
-                PostingRemoval::Removed | PostingRemoval::RemovedAndKeyDropped => found = true,
+            if self.remove_posting(l, slot, seg.len, key, id) {
+                found = true;
+            } else {
+                debug_assert!(
+                    !found,
+                    "segments of one id must be all present or all absent"
+                );
             }
         }
         if found {

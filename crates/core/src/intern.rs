@@ -1,49 +1,30 @@
-//! Integer-interned segment keys (the paper's §6 "encode segments as
-//! integers" optimization).
+//! Integer-interned byte strings (the paper's §6 "encode segments as
+//! integers" idea), used by the set-similarity lane as its token
+//! dictionary.
 //!
-//! The byte-keyed indices ([`crate::OwnedSegmentIndex`]) store every
-//! distinct `(length, slot, segment)` key's bytes inside its map and hash
-//! those bytes on every probe. Real corpora repeat segments heavily —
-//! across strings, across slots, and across lengths — so the same byte
-//! string is stored and hashed many times over. This module splits the
-//! byte storage out into a single shared dictionary:
+//! [`SegmentInterner`] maps each distinct byte string to a dense `u32` id
+//! ([`SegId`]) exactly once. The reverse direction is an arena (one
+//! contiguous byte buffer plus spans), so `id → bytes` is a slice, not an
+//! allocation. Ids are **stable**: once a byte string has an id, it keeps
+//! that id for the interner's lifetime, even if every reference to it is
+//! released and re-acquired.
 //!
-//! * [`SegmentInterner`] — maps each distinct segment byte string to a
-//!   dense `u32` id ([`SegId`]) exactly once. The reverse direction is an
-//!   arena (one contiguous byte buffer plus spans), so `id → bytes` is a
-//!   slice, not an allocation. Ids are **stable**: once a byte string has
-//!   an id, it keeps that id for the interner's lifetime, even if every
-//!   index entry referencing it is removed and re-added.
-//! * [`InternedSegmentIndex`] — a [`SegmentMap`] keyed by [`SegId`] plus
-//!   the interner that feeds it. A probe resolves the query's substring to
-//!   an id once (one byte-string hash against the global dictionary —
-//!   which also short-circuits: a substring that is no string's segment
-//!   misses immediately), then does integer-keyed lookups; inserts intern
-//!   each segment once and store a 4-byte key per distinct `(l, slot)`
-//!   posting instead of a byte copy.
-//!
-//! The interner keeps per-id **liveness counts** (how many posting keys
-//! currently reference each id) so the index can report live dictionary
-//! bytes and so persistence can save exactly the referenced subset of the
-//! table. Dead ids keep their arena bytes (monotone arena growth — the
-//! price of id stability); a snapshot save/load cycle compacts them away.
+//! The interner keeps per-id **liveness counts** (how many holders
+//! currently reference each id) so callers can report live dictionary
+//! bytes. Dead ids keep their arena bytes (monotone arena growth — the
+//! price of id stability).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use sj_common::hash::FxHasher;
-use sj_common::StringId;
-
-use crate::index::{PostingRemoval, SegmentKey, SegmentMap, SegmentProbe};
-use crate::partition::PartitionScheme;
 
 /// A dense interned-segment id: the integer the paper encodes segments as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegId(u32);
 
 impl SegId {
-    /// Wraps a raw id (used by the snapshot codec, whose on-disk postings
-    /// store table ranks).
+    /// Wraps a raw id.
     #[inline]
     pub fn from_raw(raw: u32) -> Self {
         Self(raw)
@@ -58,20 +39,6 @@ impl SegId {
     #[inline]
     fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-impl SegmentKey for SegId {
-    fn stored_bytes(_seg_len: usize) -> u64 {
-        // The map stores a 4-byte integer per distinct key; the segment
-        // bytes live once in the interner and are accounted there.
-        4
-    }
-
-    fn matches_seg_len(&self, _seg_len: usize) -> bool {
-        // An integer carries no bytes to check here; the snapshot decoder
-        // validates the id's interner bytes against the geometry instead.
-        true
     }
 }
 
@@ -125,7 +92,7 @@ pub struct SegmentInterner {
     arena: Vec<u8>,
     /// id → (start, len) into the arena.
     spans: Vec<(u32, u32)>,
-    /// id → live posting keys referencing it.
+    /// id → live holders referencing it.
     refs: Vec<u32>,
     /// Ids with `refs > 0`.
     live: usize,
@@ -181,7 +148,7 @@ impl SegmentInterner {
         self.spans.is_empty()
     }
 
-    /// Ids currently referenced by at least one posting key.
+    /// Ids currently referenced by at least one holder.
     pub fn live(&self) -> usize {
         self.live
     }
@@ -193,7 +160,8 @@ impl SegmentInterner {
 
     /// Estimated resident bytes of the live dictionary slice: each live
     /// id's bytes plus a fixed 12 bytes of table overhead (span + bucket
-    /// entry). The same kind of estimator as [`SegmentMap::live_bytes`].
+    /// entry). The same kind of estimator as
+    /// [`SegmentMap::live_bytes`](crate::SegmentMap::live_bytes).
     pub fn live_table_bytes(&self) -> u64 {
         self.live_bytes + self.live as u64 * 12
     }
@@ -275,7 +243,7 @@ impl SegmentInterner {
         &self.arena[start as usize..start as usize + len as usize]
     }
 
-    /// Records one more live posting key referencing `id`.
+    /// Records one more live holder referencing `id`.
     pub fn acquire(&mut self, id: SegId) {
         let refs = &mut self.refs[id.index()];
         if *refs == 0 {
@@ -285,7 +253,7 @@ impl SegmentInterner {
         *refs += 1;
     }
 
-    /// Records one fewer live posting key referencing `id`. The id keeps
+    /// Records one fewer live holder referencing `id`. The id keeps
     /// its mapping: re-interning the same bytes later revives the same id.
     pub fn release(&mut self, id: SegId) {
         let refs = &mut self.refs[id.index()];
@@ -307,230 +275,9 @@ impl SegmentInterner {
     }
 }
 
-/// An inverted segment index keyed by interned integer ids: a
-/// [`SegmentMap`]`<SegId>` plus its [`SegmentInterner`]. Supports the same
-/// dynamic surface as [`crate::OwnedSegmentIndex`] (out-of-order insert,
-/// remove, restore) and implements [`SegmentProbe`] for the query drivers.
-#[derive(Debug, Clone)]
-pub struct InternedSegmentIndex {
-    interner: SegmentInterner,
-    map: SegmentMap<SegId>,
-}
-
-impl InternedSegmentIndex {
-    /// An empty index for strings of length up to `max_len` (a pre-sizing
-    /// hint) under the even partition.
-    pub fn new(max_len: usize, tau: usize) -> Self {
-        Self::with_scheme(max_len, tau, PartitionScheme::Even)
-    }
-
-    /// An empty index with an explicit partition scheme.
-    pub fn with_scheme(max_len: usize, tau: usize, scheme: PartitionScheme) -> Self {
-        Self {
-            interner: SegmentInterner::new(),
-            map: SegmentMap::with_scheme(max_len, tau, scheme),
-        }
-    }
-
-    /// The threshold the index partitions for.
-    pub fn tau(&self) -> usize {
-        self.map.tau()
-    }
-
-    /// The partition scheme in use.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.map.scheme()
-    }
-
-    /// Live inverted-list entries (Σ list lengths).
-    pub fn entries(&self) -> u64 {
-        self.map.entries()
-    }
-
-    /// The shared segment dictionary.
-    pub fn interner(&self) -> &SegmentInterner {
-        &self.interner
-    }
-
-    /// Estimated resident bytes: the integer-keyed maps (4 bytes per
-    /// posting entry, 4-byte keys + list headers per distinct key) plus
-    /// the live slice of the interner table. Directly comparable with
-    /// [`SegmentMap::live_bytes`] — the difference is the paper's point:
-    /// each distinct segment's bytes are stored once globally instead of
-    /// once per `(l, slot)` key.
-    pub fn live_bytes(&self) -> u64 {
-        self.map.live_bytes() + self.interner.live_table_bytes()
-    }
-
-    /// Partitions `s` into τ+1 segments, interns each, and inserts `id` in
-    /// sorted position — ids may arrive in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interner's id or arena space is exhausted (needs 2³²
-    /// distinct segments / 4 GiB of distinct segment bytes; collections
-    /// that large should shard first).
-    pub fn insert(&mut self, s: &[u8], id: StringId) {
-        for slot in 1..=self.tau() + 1 {
-            let seg = self.scheme().segment(s.len(), self.tau(), slot);
-            let key = self
-                .interner
-                .intern(&s[seg.start..seg.end()])
-                .expect("segment interner id space exhausted; shard the collection");
-            if self
-                .map
-                .insert_posting(s.len(), slot, seg.len, key, id, true)
-            {
-                self.interner.acquire(key);
-            }
-        }
-    }
-
-    /// Removes `id` from every inverted list the partition of `s` maps to,
-    /// releasing interner references for keys whose lists empty. Returns
-    /// `true` if the id was present. `s` must be the exact byte string
-    /// `id` was inserted with.
-    pub fn remove(&mut self, s: &[u8], id: StringId) -> bool {
-        let l = s.len();
-        debug_assert!(l > self.tau(), "short strings use the fallback path");
-        if !self.map.has_length(l) {
-            return false;
-        }
-        let mut found = false;
-        for slot in 1..=self.tau() + 1 {
-            let seg = self.scheme().segment(l, self.tau(), slot);
-            let Some(key) = self.interner.lookup(&s[seg.start..seg.end()]) else {
-                debug_assert!(
-                    !found,
-                    "segments of one id must be all present or all absent"
-                );
-                continue;
-            };
-            match self.map.remove_posting(l, slot, seg.len, &key, id) {
-                PostingRemoval::Absent => {
-                    debug_assert!(
-                        !found,
-                        "segments of one id must be all present or all absent"
-                    );
-                }
-                PostingRemoval::Removed => found = true,
-                PostingRemoval::RemovedAndKeyDropped => {
-                    found = true;
-                    self.interner.release(key);
-                }
-            }
-        }
-        if found {
-            self.map.prune_length_row(l);
-        }
-        found
-    }
-
-    /// Resolves segment bytes to their interned id, if any — the byte-hash
-    /// half of a probe. Callers that probe the same substring against
-    /// several `(l, slot)` indices (the online batch driver) resolve once
-    /// and then stay integer-keyed via
-    /// [`InternedSegmentIndex::probe_id`].
-    #[inline]
-    pub fn resolve(&self, seg: &[u8]) -> Option<SegId> {
-        self.interner.lookup(seg)
-    }
-
-    /// The inverted list under an already-resolved id at `(l, slot)`.
-    #[inline]
-    pub fn probe_id(&self, l: usize, slot: usize, key: SegId) -> Option<&[StringId]> {
-        self.map.probe_key(l, slot, &key)
-    }
-
-    /// Visits every live inverted list as `(length, slot, seg id, ids)`
-    /// in deterministic (length, slot, id) order — the serialization
-    /// visitor; pair it with [`InternedSegmentIndex::interner`] to resolve
-    /// ids to bytes.
-    pub fn visit_postings(&self, mut f: impl FnMut(usize, usize, SegId, &[StringId])) {
-        self.map
-            .visit_postings_keys(|l, slot, &key, ids| f(l, slot, key, ids));
-    }
-
-    /// Visits every `(length, id)` posting reference in unspecified order
-    /// (see [`SegmentMap::visit_posting_ids`]).
-    pub fn visit_posting_ids(&self, f: impl FnMut(usize, StringId)) {
-        self.map.visit_posting_ids(f);
-    }
-
-    /// Pre-sizes the `(l, slot)` map for a bulk restore (see
-    /// [`SegmentMap::reserve_keys`]).
-    pub fn reserve_keys(&mut self, l: usize, slot: usize, additional: usize) {
-        self.map.reserve_keys(l, slot, additional);
-    }
-
-    /// Interns one dictionary entry during a snapshot restore, rejecting
-    /// byte strings that were already restored (a well-formed snapshot's
-    /// table is duplicate-free) or that exhaust the id space.
-    pub fn restore_segment(&mut self, bytes: &[u8]) -> Result<SegId, &'static str> {
-        if self.interner.lookup(bytes).is_some() {
-            return Err("duplicate interner table entry");
-        }
-        self.interner
-            .intern(bytes)
-            .ok_or("interner id space exhausted")
-    }
-
-    /// Restores one inverted list keyed by an interned id — the inverse of
-    /// [`InternedSegmentIndex::visit_postings`]. On top of
-    /// [`SegmentMap::restore_posting`]'s structural checks, the id must be
-    /// a known dictionary entry whose byte length matches the partition
-    /// geometry of `(l, slot)` — the byte-level check integer keys cannot
-    /// do themselves.
-    pub fn restore_posting(
-        &mut self,
-        l: usize,
-        slot: usize,
-        key: SegId,
-        ids: Vec<StringId>,
-    ) -> Result<(), &'static str> {
-        if !(1..=self.tau() + 1).contains(&slot) {
-            return Err("posting slot out of range for tau");
-        }
-        if l < self.tau() + 1 {
-            return Err("posting length is too short to partition");
-        }
-        let Some(bytes) = self.interner.bytes_of(key) else {
-            return Err("posting references an unknown interned segment");
-        };
-        let seg = self.scheme().segment(l, self.tau(), slot);
-        if bytes.len() != seg.len {
-            return Err("interned segment does not match the partition geometry");
-        }
-        self.map.restore_posting(l, slot, key, ids)?;
-        self.interner.acquire(key);
-        Ok(())
-    }
-}
-
-impl SegmentProbe for InternedSegmentIndex {
-    #[inline]
-    fn has_length(&self, l: usize) -> bool {
-        self.map.has_length(l)
-    }
-
-    #[inline]
-    fn max_len(&self) -> usize {
-        self.map.max_len()
-    }
-
-    #[inline]
-    fn probe_bytes(&self, l: usize, slot: usize, seg: &[u8]) -> Option<&[StringId]> {
-        // Resolve the substring to its integer id once; a miss here means
-        // the substring is no indexed string's segment at *any* (l, slot).
-        let key = self.interner.lookup(seg)?;
-        self.map.probe_key(l, slot, &key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::OwnedSegmentIndex;
 
     #[test]
     fn interning_deduplicates_and_is_stable() {
@@ -611,92 +358,5 @@ mod tests {
         interner.visit_live(|id, bytes| live.push((id, bytes.to_vec())));
         assert_eq!(live, vec![(b, b"bb".to_vec())]);
         assert_eq!(interner.arena_bytes(), 6, "dead bytes stay in the arena");
-    }
-
-    #[test]
-    fn interned_index_round_trips_inserts_and_removes() {
-        let mut idx = InternedSegmentIndex::new(10, 1);
-        idx.insert(b"abcdxxxx", 7);
-        idx.insert(b"abcdyyyy", 2);
-        assert_eq!(idx.probe_bytes(8, 1, b"abcd"), Some(&[2u32, 7][..]));
-        assert_eq!(idx.entries(), 4);
-        // "abcd" is stored once but referenced by one posting key.
-        assert_eq!(idx.interner().len(), 3);
-        assert_eq!(idx.interner().live(), 3);
-
-        assert!(idx.remove(b"abcdyyyy", 2));
-        assert_eq!(idx.probe_bytes(8, 1, b"abcd"), Some(&[7u32][..]));
-        assert_eq!(idx.probe_bytes(8, 2, b"yyyy"), None);
-        assert_eq!(idx.interner().live(), 2, "emptied key releases its id");
-
-        assert!(!idx.remove(b"abcdyyyy", 2), "double remove is a no-op");
-        assert!(!idx.remove(b"qqqqqqqq", 5), "unknown string is a no-op");
-
-        assert!(idx.remove(b"abcdxxxx", 7));
-        assert!(!idx.has_length(8), "empty length rows are reclaimed");
-        assert_eq!(idx.entries(), 0);
-        assert_eq!(idx.interner().live(), 0);
-
-        // Re-insertion revives the same interned ids (id stability).
-        let before = idx.interner().len();
-        idx.insert(b"abcdxxxx", 7);
-        assert_eq!(idx.interner().len(), before, "no new ids were minted");
-        assert_eq!(idx.probe_bytes(8, 1, b"abcd"), Some(&[7u32][..]));
-    }
-
-    #[test]
-    fn interned_and_owned_agree_on_probes() {
-        let strings: Vec<&[u8]> = vec![b"aaabbbccc", b"aaabbbccd", b"xxxyyyzzz", b"aaabbbccc"];
-        let mut owned = OwnedSegmentIndex::new(16, 2);
-        let mut interned = InternedSegmentIndex::new(16, 2);
-        for (id, s) in strings.iter().enumerate() {
-            owned.insert_owned(s, id as StringId);
-            interned.insert(s, id as StringId);
-        }
-        for l in 0..=16 {
-            assert_eq!(
-                SegmentProbe::has_length(&owned, l),
-                SegmentProbe::has_length(&interned, l)
-            );
-        }
-        for slot in 1..=3 {
-            for key in [&b"aaa"[..], b"bbb", b"ccc", b"ccd", b"xxx", b"zzz", b"qqq"] {
-                assert_eq!(
-                    owned.probe(9, slot, key),
-                    interned.probe_bytes(9, slot, key),
-                    "slot {slot} key {key:?}"
-                );
-            }
-        }
-        assert_eq!(owned.entries(), interned.entries());
-        // The dictionary dedups across slots: the 8 distinct (l, slot)
-        // posting keys reference only 7 distinct byte strings ("aaa"…"zzz").
-        assert_eq!(interned.interner().len(), 7);
-        assert_eq!(interned.interner().live(), 7);
-    }
-
-    #[test]
-    fn interned_restore_validates_geometry_and_ids() {
-        let mut idx = InternedSegmentIndex::new(0, 1);
-        let ab = idx.restore_segment(b"ab").unwrap();
-        let cdef = idx.restore_segment(b"cdef").unwrap();
-        assert!(idx.restore_segment(b"ab").is_err(), "duplicate entry");
-
-        // Geometry: length-4 slot 1 under τ=1 is a 2-byte segment.
-        assert!(idx.restore_posting(4, 1, ab, vec![0]).is_ok());
-        assert!(idx.restore_posting(4, 2, ab, vec![0]).is_ok());
-        assert!(idx.restore_posting(4, 1, cdef, vec![1]).is_err());
-        assert!(idx
-            .restore_posting(8, 1, SegId::from_raw(9), vec![0])
-            .is_err());
-        assert!(idx.restore_posting(4, 0, ab, vec![0]).is_err());
-        assert!(idx.restore_posting(1, 1, ab, vec![0]).is_err());
-        assert!(idx.restore_posting(4, 1, ab, vec![2]).is_err(), "dup key");
-
-        assert_eq!(idx.probe_bytes(4, 1, b"ab"), Some(&[0u32][..]));
-        assert_eq!(idx.interner().live(), 1, "one id live under two keys");
-        // The restored index stays mutable.
-        assert!(idx.remove(b"abab", 0));
-        assert_eq!(idx.interner().live(), 0);
     }
 }

@@ -59,7 +59,7 @@ pub mod verify;
 
 pub use direct::DirectSegmentIndex;
 pub use index::{OwnedSegmentIndex, SegmentIndex, SegmentKey, SegmentMap, SegmentProbe};
-pub use intern::{InternedSegmentIndex, SegId, SegmentInterner};
+pub use intern::{SegId, SegmentInterner};
 pub use joiner::PassJoin;
 pub use partition::PartitionScheme;
 pub use search::SearchIndex;

@@ -5,9 +5,9 @@
 //! Split out of the join drivers so the scan loop (visit order, eviction,
 //! short-string fallback) is the only thing they own; the probing core is
 //! generic over [`SegmentProbe`], so it serves the arena-borrowing scan
-//! index, owned-key indices, and the integer-interned index alike — the
+//! index, owned-key indices, and snapshot-resident sorted runs alike — the
 //! backend decides how a probed substring resolves to an inverted list
-//! (direct byte lookup vs. intern-then-integer lookup).
+//! (hash lookup vs. binary search).
 
 use editdist::{
     banded_within_ws, length_aware_within_ws, myers_within, within_full, DpWorkspace,
@@ -228,12 +228,11 @@ impl ProbeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::OwnedSegmentIndex;
-    use crate::intern::InternedSegmentIndex;
+    use crate::index::{OwnedSegmentIndex, SegmentIndex};
 
     /// The probing core must be strictly backend-agnostic: the same probe
-    /// over an owned-key and an interned-key index with identical contents
-    /// must emit identical (id, certificate) sequences and stats.
+    /// over an owned-key and an arena-borrowing index with identical
+    /// contents must emit identical (id, certificate) sequences and stats.
     #[test]
     fn probe_lengths_is_backend_agnostic() {
         let strings: &[&[u8]] = &[
@@ -247,10 +246,10 @@ mod tests {
         let tau = 3;
         let config = PassJoin::new();
         let mut owned = OwnedSegmentIndex::new(0, tau);
-        let mut interned = InternedSegmentIndex::new(0, tau);
+        let mut borrowed = SegmentIndex::new(0, tau);
         for (id, s) in strings.iter().enumerate() {
             owned.insert_owned(s, id as StringId);
-            interned.insert(s, id as StringId);
+            borrowed.insert(s, id as StringId);
         }
         for probe in strings {
             let lmin = (tau + 1).max(probe.len().saturating_sub(tau));
@@ -276,7 +275,7 @@ mod tests {
                 probe,
                 lmin,
                 lmax,
-                &interned,
+                &borrowed,
                 |rid| strings[rid as usize],
                 &mut stats_b,
                 &mut crate::sink::FnSink(|rid, cert| got_b.push((rid, cert))),

@@ -693,6 +693,10 @@ impl<T> PullSender<T> {
 
 impl<T> Drop for PullSender<T> {
     fn drop(&mut self) {
+        // Under the queue lock: `recv` checks the flag and starts waiting
+        // in one critical section, so the store and the wake-up must not
+        // land between the two (a lost wakeup would block it forever).
+        let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         self.shared.closed.store(true, Ordering::Release);
         // Wake a receiver blocked on an empty queue so it can end.
         self.shared.not_empty.notify_all();
@@ -730,6 +734,8 @@ impl<T> Iterator for PullReceiver<T> {
 
 impl<T> Drop for PullReceiver<T> {
     fn drop(&mut self) {
+        // Under the queue lock, for the same reason as the sender's drop.
+        let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         self.shared.hung_up.store(true, Ordering::Release);
         // Wake senders blocked on a full queue so they can fail fast.
         self.shared.not_full.notify_all();
@@ -1034,6 +1040,61 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         drop(rx); // producer is blocked on a full queue: wake + fail it
         assert_eq!(producer.join().unwrap(), Err(1));
+    }
+
+    /// Races one drop against a peer parked in the channel, `ROUNDS` times.
+    /// `park` runs on a worker thread and reports its result; `hang_up`
+    /// runs here, released together with the worker by a barrier so the
+    /// drop lands as close as possible to the peer's check-then-wait. Each
+    /// round waits for the worker's report through a timeout, so a lost
+    /// wakeup fails the test instead of hanging it (the stranded worker is
+    /// then left behind; every other round is joined).
+    fn race_drop_against_parked_peer<R: Send + std::fmt::Debug + PartialEq + 'static>(
+        setup: impl Fn() -> (Box<dyn FnOnce() -> R + Send>, Box<dyn FnOnce()>),
+        expected: R,
+    ) {
+        const ROUNDS: usize = 3_000;
+        for round in 0..ROUNDS {
+            let (park, hang_up) = setup();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let (done_tx, done) = std::sync::mpsc::channel();
+            let worker_start = Arc::clone(&start);
+            let worker = std::thread::spawn(move || {
+                worker_start.wait();
+                let _ = done_tx.send(park());
+            });
+            start.wait();
+            hang_up();
+            let got = done.recv_timeout(std::time::Duration::from_secs(10));
+            if got == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                panic!("the parked peer never woke up (round {round})");
+            }
+            worker.join().expect("the parked peer panicked");
+            assert_eq!(got.as_ref(), Ok(&expected), "round {round}");
+        }
+    }
+
+    #[test]
+    fn pull_channel_sender_drop_wakes_a_blocked_receiver() {
+        race_drop_against_parked_peer(
+            || {
+                let (tx, rx) = pull_channel::<u32>(1);
+                (Box::new(move || rx.recv()), Box::new(move || drop(tx)))
+            },
+            None,
+        );
+    }
+
+    #[test]
+    fn pull_channel_receiver_drop_wakes_a_blocked_sender() {
+        race_drop_against_parked_peer(
+            || {
+                let (tx, rx) = pull_channel::<u32>(1);
+                tx.send(0).unwrap();
+                (Box::new(move || tx.send(1)), Box::new(move || drop(rx)))
+            },
+            Err(1),
+        );
     }
 
     #[test]

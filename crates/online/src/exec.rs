@@ -24,15 +24,12 @@
 //!   the reason.
 //! * **Batch dispatch** — mixed-τ batches are first-class; workers pull
 //!   blocks of the `(length, τ)`-sorted order off an atomic cursor, keep
-//!   private scratch (dedup stamps, DP rows, the interned backend's
-//!   substring-resolution memo), and write position-aligned outcomes.
+//!   private scratch (dedup stamps, DP rows), and write position-aligned
+//!   outcomes.
 //! * **Cache integration** — cacheable requests (plain shape, policy
 //!   [`CachePolicy::Use`](crate::CachePolicy::Use)) consult the source's
 //!   epoch-validated LRU cache; the per-request outcome is reported in
 //!   [`QueryOutcome::cache`].
-//!
-//! The deprecated legacy methods are one-line wrappers over the
-//! `legacy_*` helpers at the bottom — same engine, fixed shape.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,8 +85,10 @@ pub trait Queryable {
     /// [`Snapshot`](crate::Snapshot)) return `Some`; a *composite* source
     /// with no single inner state — like the shard router
     /// ([`ShardedIndex`](crate::ShardedIndex)) — returns `None` and must
-    /// override **every** provided method (the defaults panic loudly on a
-    /// `None` source rather than answering from the wrong state).
+    /// override every provided method that reads the source (the defaults
+    /// panic loudly on a `None` source rather than answering from the
+    /// wrong state). [`Queryable::matches`] and [`Queryable::is_empty`]
+    /// are defined on top of `search` and `len`, so they need no override.
     #[doc(hidden)]
     fn exec_source(&self) -> Option<ExecSource<'_>>;
 
@@ -219,10 +218,12 @@ pub trait Queryable {
     }
 
     /// Convenience for the plain one-query case: all matches within `tau`
-    /// as `(id, exact distance)`, ascending by id. Equivalent to
-    /// `search(&SearchRequest::new(query, tau)).matches`.
+    /// as `(id, exact distance)`, ascending by id. Runs
+    /// `search(&SearchRequest::borrowed(query, tau))`, so it is counted and
+    /// traced like any other request.
     fn matches(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        legacy_query(require_source(self.exec_source()).inner, query, tau)
+        self.search(&SearchRequest::borrowed(query, tau))
+            .into_matches()
     }
 
     /// The largest per-query threshold this source supports.
@@ -230,7 +231,7 @@ pub trait Queryable {
         require_source(self.exec_source()).inner.tau_max()
     }
 
-    /// Which segment-key backend the source was built with.
+    /// Which store the source's segment lane is in.
     fn key_backend(&self) -> KeyBackend {
         require_source(self.exec_source())
             .inner
@@ -304,8 +305,7 @@ impl ReqObs<'_> {
 }
 
 /// The engine-internal view of one request: borrowed bytes plus the shape
-/// flags, so legacy surfaces (borrowed query lists + one τ) run the same
-/// loop without materializing `SearchRequest`s.
+/// flags, with unlimited budgets and pools already filtered out.
 #[derive(Clone, Copy)]
 struct ReqView<'a> {
     query: &'a [u8],
@@ -332,18 +332,6 @@ impl<'a> ReqView<'a> {
                 .batch_budget()
                 .map(|b| b.pool().as_ref())
                 .filter(|p| !p.is_unlimited()),
-        }
-    }
-
-    fn plain(query: &'a [u8], tau: usize) -> Self {
-        Self {
-            query,
-            tau,
-            limit: None,
-            count_only: false,
-            use_cache: false,
-            budget: None,
-            pool: None,
         }
     }
 
@@ -425,8 +413,8 @@ impl PlanSlot {
 /// whose length falls outside its current bound are skipped, verification
 /// budgets tighten to the bound, and a saturated sink stops everything.
 /// Work is announced through the sink's note hooks *before* it runs, so
-/// a [`BudgetSink`] can cap it. For collecting sinks (bound = τ, never
-/// saturated, no-op hooks) this is byte-for-byte the legacy probing loop.
+/// a [`BudgetSink`] can cap it. Collecting sinks (bound = τ, never
+/// saturated, no-op hooks) see every match within τ.
 fn run_plan<S: MatchSink + ?Sized>(
     inner: &Inner,
     plan: &LengthPlan,
@@ -438,7 +426,7 @@ fn run_plan<S: MatchSink + ?Sized>(
 ) {
     debug_assert_eq!(query.len(), plan.query_len);
     debug_assert_eq!(tau, plan.tau);
-    scratch.begin(inner.universe(), query.len());
+    scratch.begin(inner.universe());
     for &rid in &plan.short_ids {
         if sink.saturated() {
             return;
@@ -484,12 +472,8 @@ fn run_plan<S: MatchSink + ?Sized>(
 /// `query` in `window`, screening candidates with the extension cascade
 /// and pushing `(id, exact distance)` matches into the sink.
 ///
-/// The owned backend looks each substring up by bytes; the interned
-/// backend resolves it to a dictionary id once per `(position, length)` —
-/// memoized in the scratch, because windows of adjacent lengths overlap —
-/// and every (repeated) probe after that is integer-keyed. The direct
-/// backend binary-searches each substring against the sorted run table in
-/// the snapshot buffer.
+/// The owned store hashes each substring; the direct store binary-searches
+/// it against the sorted run table in the snapshot buffer.
 #[allow(clippy::too_many_arguments)]
 fn probe_occurrences<S: MatchSink + ?Sized>(
     inner: &Inner,
@@ -516,19 +500,7 @@ fn probe_occurrences<S: MatchSink + ?Sized>(
                 screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
             }
         }
-        SegmentStore::Interned(index) => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let key = scratch.seg_memo.resolve(index, query, p, seg.len);
-                let Some(list) = key.and_then(|key| index.probe_id(l, slot, key)) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
-        }
-        SegmentStore::Direct { index, .. } => {
+        SegmentStore::Direct(index) => {
             for p in window {
                 if sink.saturated() {
                     return;
@@ -1252,73 +1224,4 @@ fn run_batch(source: &ExecSource<'_>, reqs: &[SearchRequest]) -> SearchResponse 
     SearchResponse {
         outcomes: run_views(source, &views, threads),
     }
-}
-
-// ---------------------------------------------------------------------
-// Legacy-shaped helpers: the deprecated wrappers on `OnlineIndex` and
-// `Snapshot` are one-liners over these, so the old surfaces keep their
-// exact signatures and semantics while running on the engine above.
-// ---------------------------------------------------------------------
-
-/// Plain query, collected and id-sorted — the legacy `query` shape.
-pub(crate) fn legacy_query(inner: &Inner, query: &[u8], tau: usize) -> Vec<Match> {
-    let mut scratch = QueryScratch::default();
-    let mut out = Vec::new();
-    query_into(inner, query, tau, &mut scratch, &mut out);
-    out
-}
-
-/// Plain query appending to a caller-owned vector with caller-owned
-/// scratch — the legacy `query_with` shape.
-pub(crate) fn query_into(
-    inner: &Inner,
-    query: &[u8],
-    tau: usize,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<Match>,
-) {
-    let mut plans = PlanSlot::default();
-    let plan = plans.get(inner, query.len(), tau);
-    let from = out.len();
-    let mut stats = ExecStats::default();
-    {
-        let mut sink = CollectSink::new(out);
-        run_plan(inner, plan, query, tau, scratch, &mut sink, &mut stats);
-    }
-    out[from..].sort_unstable();
-}
-
-/// Uniform-τ batch returning bare match vectors — the legacy
-/// `query_batch`/`par_query_batch` shape (`threads = 0` ⇒ available
-/// parallelism).
-pub(crate) fn legacy_batch<Q: AsRef<[u8]> + Sync>(
-    source: &ExecSource<'_>,
-    queries: &[Q],
-    tau: usize,
-    threads: usize,
-) -> Vec<Vec<Match>> {
-    let views: Vec<ReqView<'_>> = queries
-        .iter()
-        .map(|q| ReqView::plain(q.as_ref(), tau))
-        .collect();
-    // The legacy 0-means-available convention is exactly Threads(0).
-    let threads = Parallelism::Threads(threads).resolve();
-    run_views(source, &views, threads)
-        .into_iter()
-        .map(QueryOutcome::into_matches)
-        .collect()
-}
-
-/// Cached plain query returning the shared result — the legacy
-/// `query_cached` shape (hits hand out the cached `Arc` itself).
-pub(crate) fn legacy_cached(source: &ExecSource<'_>, query: &[u8], tau: usize) -> Arc<Vec<Match>> {
-    let Some(cache) = source.cache else {
-        return Arc::new(legacy_query(source.inner, query, tau));
-    };
-    if let Some(hit) = lock(cache).lookup(query, tau, source.epoch) {
-        return hit;
-    }
-    let result = Arc::new(legacy_query(source.inner, query, tau));
-    lock(cache).insert(query, tau, source.epoch, Arc::clone(&result));
-    result
 }

@@ -7,10 +7,10 @@
 //!
 //! * a **segment lane** — a [`SegmentStore`] partitioning every string of
 //!   length > τ_max into τ_max+1 segments (§3.1/§3.2 of the paper, without
-//!   the scan's sliding-window eviction: all lengths stay resident),
-//!   behind one of two [`KeyBackend`]s: byte-owning keys
-//!   ([`passjoin::OwnedSegmentIndex`]) or integer-interned keys
-//!   ([`passjoin::InternedSegmentIndex`]);
+//!   the scan's sliding-window eviction: all lengths stay resident). Its
+//!   one mutable form is a byte-keyed map ([`passjoin::OwnedSegmentIndex`]);
+//!   an index loaded with [`OnlineIndex::load_direct`] instead probes the
+//!   snapshot's sorted runs until its first mutation;
 //! * a **short lane** — ids of strings with length ≤ τ_max, which cannot be
 //!   partitioned; queries check them brute-force (there are at most
 //!   `O(|Σ|^τ_max)` meaningfully distinct ones).
@@ -38,48 +38,36 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use editdist::{length_aware_within_ws, DpWorkspace};
-use passjoin::{
-    DirectSegmentIndex, InternedSegmentIndex, OwnedSegmentIndex, PartitionScheme, SegmentProbe,
-};
+use passjoin::{DirectSegmentIndex, OwnedSegmentIndex, PartitionScheme};
 use sj_common::stamp::StampSet;
 use sj_common::{SharedBytes, StringId};
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::exec::{ExecSource, Queryable};
 use crate::obs::EngineObs;
-use crate::Match;
 
 /// Default capacity of the per-index query cache.
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// How the segment lane stores its inverted-index keys.
+/// How the segment lane stores its inverted index.
 ///
-/// Both backends answer every query byte-identically (pinned by the
-/// `key_backends` differential suite); they trade memory layout:
+/// Both stores answer every query byte-identically (pinned by the
+/// `key_backends` differential suite):
 ///
-/// * [`KeyBackend::Owned`] — every distinct `(length, slot, segment)` key
-///   owns a copy of its segment bytes. Simple, no shared state, the
-///   default since PR 1.
-/// * [`KeyBackend::Interned`] — the paper's §6 "encode segments as
-///   integers": segment bytes are interned once into a shared dictionary
-///   (`passjoin::SegmentInterner`) and the maps are keyed by dense `u32`
-///   ids. Smaller resident index on segment-heavy corpora (each distinct
-///   byte string is stored once globally, not once per `(l, slot)`) and
-///   faster probes (integer-keyed map hits after one dictionary lookup).
+/// * [`KeyBackend::Owned`] — the one mutable store: every distinct
+///   `(length, slot, segment)` key owns a copy of its segment bytes in a
+///   hash map. Every built index uses it.
 /// * [`KeyBackend::Direct`] — sorted-array postings binary-searched
 ///   straight out of a loaded snapshot buffer
 ///   ([`passjoin::DirectSegmentIndex`]), never built in memory. Only
 ///   reachable by loading a format-v3 snapshot's direct-probe appendix
 ///   (there is nothing to *build* — the buffer is the index); the first
-///   mutation promotes the lane back to the backend the snapshot was
-///   saved from.
+///   mutation rebuilds the lane as [`KeyBackend::Owned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KeyBackend {
-    /// Byte-owning keys (the default).
+    /// Byte-owning keys in a hash map (every built index).
     #[default]
     Owned,
-    /// Integer-interned keys over a shared segment dictionary.
-    Interned,
     /// Snapshot-resident sorted arrays, probed in place (load-only).
     Direct,
 }
@@ -89,86 +77,54 @@ impl KeyBackend {
     pub fn name(&self) -> &'static str {
         match self {
             KeyBackend::Owned => "owned",
-            KeyBackend::Interned => "interned",
             KeyBackend::Direct => "direct",
         }
     }
 }
 
-/// The segment lane behind one of the two key backends. Dispatch is by
-/// enum rather than generics so `OnlineIndex` stays a single (non-generic)
-/// type — backends are a runtime choice (CLI flag, snapshot metadata), and
-/// the per-probe match is branch-predicted noise next to the hash lookup
-/// it guards.
+/// The segment lane: the mutable byte-keyed map, or a loaded snapshot's
+/// sorted runs. Dispatch is by enum rather than generics so `OnlineIndex`
+/// stays a single (non-generic) type — the store is decided at load time,
+/// and the per-probe match is branch-predicted noise next to the lookup it
+/// guards.
 #[derive(Debug, Clone)]
 pub(crate) enum SegmentStore {
     Owned(OwnedSegmentIndex),
-    Interned(InternedSegmentIndex),
-    /// Snapshot-resident sorted arrays ([`DirectSegmentIndex`]), plus the
-    /// backend the snapshot was saved from — the first mutation promotes
-    /// the lane back to `origin` (sorted arrays cannot absorb inserts),
-    /// and a re-save writes `origin`'s section so save/load round-trips
-    /// stay byte-identical regardless of how the index was loaded.
-    Direct {
-        index: DirectSegmentIndex,
-        origin: KeyBackend,
-    },
+    /// Snapshot-resident sorted arrays ([`DirectSegmentIndex`]). The first
+    /// mutation rebuilds the lane as `Owned` (sorted arrays cannot absorb
+    /// inserts); a save writes the same owned section either way.
+    Direct(DirectSegmentIndex),
 }
 
 impl SegmentStore {
-    pub(crate) fn new(tau_max: usize, backend: KeyBackend) -> Self {
-        match backend {
-            KeyBackend::Owned => SegmentStore::Owned(OwnedSegmentIndex::new(0, tau_max)),
-            KeyBackend::Interned => SegmentStore::Interned(InternedSegmentIndex::new(0, tau_max)),
-            // An empty direct store has no buffer to probe; the owned map
-            // is the behavior-identical stand-in (`KeyBackend::Direct` is
-            // load-only and unreachable from the builder, which rejects
-            // it before construction).
-            KeyBackend::Direct => SegmentStore::Owned(OwnedSegmentIndex::new(0, tau_max)),
-        }
-    }
-
-    pub(crate) fn from_direct(index: DirectSegmentIndex, origin: KeyBackend) -> Self {
-        SegmentStore::Direct { index, origin }
+    pub(crate) fn new(tau_max: usize) -> Self {
+        SegmentStore::Owned(OwnedSegmentIndex::new(0, tau_max))
     }
 
     pub(crate) fn backend(&self) -> KeyBackend {
         match self {
             SegmentStore::Owned(_) => KeyBackend::Owned,
-            SegmentStore::Interned(_) => KeyBackend::Interned,
-            SegmentStore::Direct { .. } => KeyBackend::Direct,
-        }
-    }
-
-    /// The backend a save should serialize: the store's own, except for a
-    /// direct store, which re-encodes the backend its snapshot came from.
-    pub(crate) fn save_backend(&self) -> KeyBackend {
-        match self {
-            SegmentStore::Direct { origin, .. } => *origin,
-            other => other.backend(),
+            SegmentStore::Direct(_) => KeyBackend::Direct,
         }
     }
 
     pub(crate) fn tau(&self) -> usize {
         match self {
             SegmentStore::Owned(map) => map.tau(),
-            SegmentStore::Interned(index) => index.tau(),
-            SegmentStore::Direct { index, .. } => index.tau(),
+            SegmentStore::Direct(index) => index.tau(),
         }
     }
 
     pub(crate) fn scheme(&self) -> PartitionScheme {
         match self {
             SegmentStore::Owned(map) => map.scheme(),
-            SegmentStore::Interned(index) => index.scheme(),
-            SegmentStore::Direct { index, .. } => index.scheme(),
+            SegmentStore::Direct(index) => index.scheme(),
         }
     }
 
-    /// Rebuilds a direct store as its origin backend so it can absorb
-    /// mutations; a no-op for the hash-map backends. O(index) once —
-    /// exactly the replay cost [`OnlineIndex::load`] pays up front, paid
-    /// here only when a buffer-resident index is actually mutated.
+    /// The mutable map, rebuilding a direct store into one first. O(index)
+    /// once — exactly the replay cost [`OnlineIndex::load`] pays up front,
+    /// paid here only when a buffer-resident index is actually mutated.
     ///
     /// # Panics
     ///
@@ -176,92 +132,80 @@ impl SegmentStore {
     /// — only reachable when deep validation was explicitly deferred (the
     /// instant-load path) *and* the background integrity pass has not yet
     /// rejected the file.
-    pub(crate) fn promote_for_mutation(&mut self) {
-        let SegmentStore::Direct { index, origin } = self else {
-            return;
-        };
-        let mut rebuilt = SegmentStore::new(index.tau(), *origin);
-        let replay = index.try_visit_postings(|l, slot, key, ids| match &mut rebuilt {
-            SegmentStore::Owned(map) => map
-                .restore_posting(l, slot, key.into(), ids.to_vec())
-                .expect("direct postings replay into the owned backend"),
-            SegmentStore::Interned(map) => {
-                let seg = match map.interner().lookup(key) {
-                    Some(seg) => seg,
-                    None => map
-                        .restore_segment(key)
-                        .expect("direct postings replay into the interner"),
-                };
-                map.restore_posting(l, slot, seg, ids.to_vec())
-                    .expect("direct postings replay into the interned backend");
-            }
-            SegmentStore::Direct { .. } => unreachable!("promotion target is a hash-map backend"),
-        });
-        replay.expect("snapshot direct postings are structurally valid");
-        *self = rebuilt;
+    fn owned_mut(&mut self) -> &mut OwnedSegmentIndex {
+        if let SegmentStore::Direct(index) = self {
+            let mut map = OwnedSegmentIndex::new(0, index.tau());
+            index
+                .try_visit_postings(|l, slot, key, ids| {
+                    map.restore_posting(l, slot, key.into(), ids.to_vec())
+                        .expect("direct postings replay into the owned map")
+                })
+                .expect("snapshot direct postings are structurally valid");
+            *self = SegmentStore::Owned(map);
+        }
+        match self {
+            SegmentStore::Owned(map) => map,
+            SegmentStore::Direct(_) => unreachable!("the direct store was just rebuilt"),
+        }
     }
 
     pub(crate) fn insert(&mut self, s: &[u8], id: StringId) {
-        self.promote_for_mutation();
-        match self {
-            SegmentStore::Owned(map) => map.insert_owned(s, id),
-            SegmentStore::Interned(index) => index.insert(s, id),
-            SegmentStore::Direct { .. } => unreachable!("mutation on a promoted store"),
-        }
+        self.owned_mut().insert_owned(s, id);
     }
 
     pub(crate) fn remove(&mut self, s: &[u8], id: StringId) -> bool {
-        self.promote_for_mutation();
-        match self {
-            SegmentStore::Owned(map) => map.remove_owned(s, id),
-            SegmentStore::Interned(index) => index.remove(s, id),
-            SegmentStore::Direct { .. } => unreachable!("mutation on a promoted store"),
-        }
+        self.owned_mut().remove_owned(s, id)
     }
 
     #[inline]
     pub(crate) fn has_length(&self, l: usize) -> bool {
         match self {
             SegmentStore::Owned(map) => map.has_length(l),
-            SegmentStore::Interned(index) => SegmentProbe::has_length(index, l),
-            SegmentStore::Direct { index, .. } => index.has_length(l),
+            SegmentStore::Direct(index) => index.has_length(l),
         }
     }
 
     pub(crate) fn max_len(&self) -> usize {
         match self {
             SegmentStore::Owned(map) => map.max_len(),
-            SegmentStore::Interned(index) => SegmentProbe::max_len(index),
-            SegmentStore::Direct { index, .. } => index.max_len(),
+            SegmentStore::Direct(index) => index.max_len(),
         }
     }
 
     pub(crate) fn entries(&self) -> u64 {
         match self {
             SegmentStore::Owned(map) => map.entries(),
-            SegmentStore::Interned(index) => index.entries(),
-            SegmentStore::Direct { index, .. } => index.entries(),
+            SegmentStore::Direct(index) => index.entries(),
         }
     }
 
     pub(crate) fn live_bytes(&self) -> u64 {
         match self {
             SegmentStore::Owned(map) => map.live_bytes(),
-            SegmentStore::Interned(index) => index.live_bytes(),
-            SegmentStore::Direct { index, .. } => index.live_bytes(),
+            SegmentStore::Direct(index) => index.live_bytes(),
         }
     }
 
     pub(crate) fn visit_posting_ids(&self, f: impl FnMut(usize, StringId)) {
         match self {
             SegmentStore::Owned(map) => map.visit_posting_ids(f),
-            SegmentStore::Interned(index) => index.visit_posting_ids(f),
             // Only reached on validated stores (the loader validates
             // before it cross-checks coverage); structural violations
             // would already have been rejected.
-            SegmentStore::Direct { index, .. } => index
+            SegmentStore::Direct(index) => index
                 .try_visit_posting_ids(f)
                 .expect("snapshot direct postings are structurally valid"),
+        }
+    }
+
+    /// Visits every posting as `(l, slot, key, ids)` in the deterministic
+    /// `(l, slot, key)` order both stores share — the save path's visitor.
+    pub(crate) fn visit_postings(&self, mut f: impl FnMut(usize, usize, &[u8], &[StringId])) {
+        match self {
+            SegmentStore::Owned(map) => map.visit_postings(f),
+            SegmentStore::Direct(index) => index
+                .try_visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
+                .expect("loaded direct postings are structurally valid"),
         }
     }
 }
@@ -408,73 +352,13 @@ fn resolve<'a>(arena: &'a Option<SharedBytes>, stored: &'a Stored) -> &'a [u8] {
     }
 }
 
-/// Per-query memo of `(position, segment length)` → resolved dictionary
-/// id, for the interned backend. Probe windows of adjacent lengths overlap
-/// heavily, so the same query substring is probed against several
-/// `(l, slot)` indices; the memo pays the byte-hash once per distinct
-/// substring and answers every repeat with a couple of integer compares
-/// and an array load — cheaper than any re-hash. Rows are addressed by
-/// segment-length rank (a query sees only a handful of distinct segment
-/// lengths), columns by position.
-#[derive(Debug, Default)]
-pub(crate) struct SegMemo {
-    query_len: usize,
-    /// rank → segment length (tiny; scanned linearly).
-    lens: Vec<u32>,
-    /// `cells[rank * query_len + p]`: 0 = unresolved, 1 = resolved to
-    /// nothing, otherwise `SegId::raw() + 2`.
-    cells: Vec<u64>,
-}
-
-impl SegMemo {
-    fn begin(&mut self, query_len: usize) {
-        self.query_len = query_len;
-        self.lens.clear();
-        self.cells.clear();
-    }
-
-    /// The dictionary id of `query[p..p + len]`, resolved at most once.
-    /// Only called with `p + len <= query.len()` (so `p < query_len`).
-    #[inline]
-    pub(crate) fn resolve(
-        &mut self,
-        index: &InternedSegmentIndex,
-        query: &[u8],
-        p: usize,
-        len: usize,
-    ) -> Option<passjoin::SegId> {
-        let rank = match self.lens.iter().position(|&l| l == len as u32) {
-            Some(rank) => rank,
-            None => {
-                self.lens.push(len as u32);
-                self.cells.resize(self.cells.len() + self.query_len, 0);
-                self.lens.len() - 1
-            }
-        };
-        let cell = &mut self.cells[rank * self.query_len + p];
-        if *cell == 0 {
-            *cell = match index.resolve(&query[p..p + len]) {
-                Some(id) => u64::from(id.raw()) + 2,
-                None => 1,
-            };
-        }
-        match *cell {
-            1 => None,
-            id => Some(passjoin::SegId::from_raw((id - 2) as u32)),
-        }
-    }
-}
-
-/// Reusable per-thread scratch for queries (dedup stamps + DP rows + the
-/// interned backend's substring-resolution memo).
-/// Create one per worker via [`OnlineIndex::scratch`]/[`Snapshot::scratch`]
-/// and pass it to the `*_with` query variants to avoid per-query
-/// allocation.
+/// Reusable per-thread scratch for the engine: dedup stamps, DP rows, and
+/// the verify timer of an instrumented request. Batch workers keep one
+/// each, so queries allocate nothing per call.
 #[derive(Debug)]
-pub struct QueryScratch {
+pub(crate) struct QueryScratch {
     pub(crate) resolved: StampSet,
     pub(crate) ws: DpWorkspace,
-    pub(crate) seg_memo: SegMemo,
     /// Installed per request by the instrumented engine path; accumulates
     /// nanoseconds spent inside exact edit-distance verification. `None`
     /// (observability detached) costs one predictable branch per DP call.
@@ -498,23 +382,16 @@ impl Default for QueryScratch {
         Self {
             resolved: StampSet::new(0),
             ws: DpWorkspace::new(),
-            seg_memo: SegMemo::default(),
             vtimer: None,
         }
     }
 }
 
 impl QueryScratch {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prepares for one query of `query_len` bytes over an id universe of
-    /// the given size.
-    pub(crate) fn begin(&mut self, universe: usize, query_len: usize) {
+    /// Prepares for one query over an id universe of the given size.
+    pub(crate) fn begin(&mut self, universe: usize) {
         self.resolved.grow(universe);
         self.resolved.clear();
-        self.seg_memo.begin(query_len);
     }
 
     /// Exact thresholded edit distance using the scratch DP rows. When a
@@ -544,7 +421,7 @@ impl QueryScratch {
 }
 
 impl Inner {
-    fn new(tau_max: usize, backend: KeyBackend) -> Self {
+    fn new(tau_max: usize) -> Self {
         Self {
             tau_max,
             arena: None,
@@ -553,7 +430,7 @@ impl Inner {
             strings: Vec::new(),
             string_bytes: 0,
             live: 0,
-            segments: SegmentStore::new(tau_max, backend),
+            segments: SegmentStore::new(tau_max),
             short: Vec::new(),
             mapped: None,
         }
@@ -802,23 +679,21 @@ impl Inner {
     }
 }
 
-/// Configures and builds an [`OnlineIndex`]: τ_max, segment-key backend,
-/// and query-cache capacity in one place.
+/// Configures and builds an [`OnlineIndex`]: τ_max, query-cache capacity,
+/// and observability in one place.
 ///
 /// ```
 /// use passjoin_online::{KeyBackend, OnlineIndex, Queryable};
 ///
 /// let index = OnlineIndex::builder(2)
-///     .key_backend(KeyBackend::Interned)
 ///     .cache_capacity(4096)
 ///     .build_from(["vldb", "pvldb"]);
-/// assert_eq!(index.key_backend(), KeyBackend::Interned);
+/// assert_eq!(index.key_backend(), KeyBackend::Owned);
 /// assert_eq!(index.matches(b"vldb", 1), vec![(0, 0), (1, 1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineIndexBuilder {
     tau_max: usize,
-    key_backend: KeyBackend,
     cache_capacity: usize,
     obs: Option<Arc<EngineObs>>,
 }
@@ -827,29 +702,9 @@ impl OnlineIndexBuilder {
     pub(crate) fn new(tau_max: usize) -> Self {
         Self {
             tau_max,
-            key_backend: KeyBackend::Owned,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             obs: None,
         }
-    }
-
-    /// Selects the segment-key backend (see [`KeyBackend`] for the
-    /// trade-off). Default: [`KeyBackend::Owned`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`KeyBackend::Direct`]: that backend is load-only (the
-    /// snapshot buffer *is* the index — there is nothing to build). Use
-    /// [`OnlineIndex::load_direct`](crate::OnlineIndex::load_direct)
-    /// instead.
-    pub fn key_backend(mut self, backend: KeyBackend) -> Self {
-        assert!(
-            backend != KeyBackend::Direct,
-            "KeyBackend::Direct is load-only; build with Owned or Interned \
-             and load v3 snapshots via OnlineIndex::load_direct"
-        );
-        self.key_backend = backend;
-        self
     }
 
     /// Sets the LRU query-cache capacity in results (0 disables caching).
@@ -875,7 +730,7 @@ impl OnlineIndexBuilder {
             cache.set_counters(Some(obs.cache_counters()));
         }
         OnlineIndex {
-            inner: Arc::new(Inner::new(self.tau_max, self.key_backend)),
+            inner: Arc::new(Inner::new(self.tau_max)),
             epoch: 0,
             cache: Mutex::new(cache),
             obs: self.obs,
@@ -956,8 +811,8 @@ impl OnlineIndex {
     }
 
     /// An empty index accepting queries with thresholds up to `tau_max`,
-    /// with the default backend and cache (see [`OnlineIndex::builder`]
-    /// for the knobs).
+    /// with the default cache (see [`OnlineIndex::builder`] for the
+    /// knobs).
     ///
     /// Larger `tau_max` costs index space (τ_max+1 inverted entries per
     /// string) and candidate selectivity; the paper's workloads use τ ≤ 8.
@@ -965,49 +820,20 @@ impl OnlineIndex {
         Self::builder(tau_max).build()
     }
 
-    /// A builder for an index with a non-default key backend or cache
-    /// capacity.
+    /// A builder for an index with a non-default cache capacity or
+    /// observability attached.
     pub fn builder(tau_max: usize) -> OnlineIndexBuilder {
         OnlineIndexBuilder::new(tau_max)
     }
 
     /// Builds an index from an initial collection (ids are assigned in
-    /// iteration order, starting at 0) with the default backend and cache.
+    /// iteration order, starting at 0) with the default cache.
     pub fn from_strings<I, S>(strings: I, tau_max: usize) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<[u8]>,
     {
         Self::builder(tau_max).build_from(strings)
-    }
-
-    /// An empty index with an explicit segment-key backend.
-    #[deprecated(note = "use OnlineIndex::builder(tau_max).key_backend(..).build()")]
-    pub fn with_key_backend(tau_max: usize, backend: KeyBackend) -> Self {
-        Self::builder(tau_max).key_backend(backend).build()
-    }
-
-    /// [`OnlineIndex::from_strings`] with an explicit key backend.
-    #[deprecated(note = "use OnlineIndex::builder(tau_max).key_backend(..).build_from(..)")]
-    pub fn from_strings_with<I, S>(strings: I, tau_max: usize, backend: KeyBackend) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<[u8]>,
-    {
-        Self::builder(tau_max)
-            .key_backend(backend)
-            .build_from(strings)
-    }
-
-    /// Replaces the query cache with one holding `capacity` results
-    /// (0 disables caching). Existing entries are dropped.
-    #[deprecated(
-        note = "use OnlineIndex::builder(..).cache_capacity(..) when building, or \
-                         set_cache_capacity on an existing index"
-    )]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.set_cache_capacity(capacity);
-        self
     }
 
     /// Replaces the query cache with one holding `capacity` results
@@ -1043,7 +869,9 @@ impl OnlineIndex {
         self.inner.tau_max()
     }
 
-    /// Which segment-key backend the index was built with.
+    /// Which store the segment lane is in: [`KeyBackend::Owned`], or
+    /// [`KeyBackend::Direct`] for an index loaded with
+    /// [`OnlineIndex::load_direct`] and not yet mutated.
     pub fn key_backend(&self) -> KeyBackend {
         self.inner.segments().backend()
     }
@@ -1101,63 +929,6 @@ impl OnlineIndex {
         removed
     }
 
-    /// All live strings within edit distance `tau` of `query`, as
-    /// `(id, exact distance)` in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau > tau_max`.
-    #[deprecated(note = "use Queryable::matches, or Queryable::search with a SearchRequest")]
-    pub fn query(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        crate::exec::legacy_query(&self.inner, query, tau)
-    }
-
-    /// Cached plain query: repeated queries against an unmodified index
-    /// are answered without probing. Results are shared (`Arc`), not
-    /// copied.
-    #[deprecated(note = "use Queryable::search with CachePolicy::Use")]
-    pub fn query_cached(&self, query: &[u8], tau: usize) -> Arc<Vec<Match>> {
-        crate::exec::legacy_cached(&self.source(), query, tau)
-    }
-
-    /// A reusable scratch buffer for [`OnlineIndex::query_with`].
-    #[deprecated(note = "the SearchRequest engine manages scratch internally")]
-    pub fn scratch(&self) -> QueryScratch {
-        QueryScratch::new()
-    }
-
-    /// Allocation-free query variant: appends matches to `out` using a
-    /// caller-owned scratch.
-    #[deprecated(note = "use Queryable::search; batches reuse scratch internally")]
-    pub fn query_with(
-        &self,
-        query: &[u8],
-        tau: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Match>,
-    ) {
-        crate::exec::query_into(&self.inner, query, tau, scratch, out);
-    }
-
-    /// Answers a batch of queries at one threshold, sequentially. Results
-    /// align with `queries` by position.
-    #[deprecated(note = "use Queryable::search_batch with SearchRequest::uniform")]
-    pub fn query_batch<Q: AsRef<[u8]> + Sync>(&self, queries: &[Q], tau: usize) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, 1)
-    }
-
-    /// Batch queries across `threads` worker threads (0 = available
-    /// parallelism).
-    #[deprecated(note = "use Queryable::search_batch with a Parallelism hint")]
-    pub fn par_query_batch<Q: AsRef<[u8]> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: usize,
-        threads: usize,
-    ) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, threads)
-    }
-
     /// A cheap point-in-time view for concurrent readers: O(1) now; the
     /// *next* mutation of the index pays a one-time clone of the state
     /// (copy-on-write). Queries on the snapshot see exactly the state at
@@ -1211,7 +982,7 @@ impl Snapshot {
         self.inner.tau_max()
     }
 
-    /// Which segment-key backend the underlying index was built with.
+    /// Which store the underlying index's segment lane is in.
     pub fn key_backend(&self) -> KeyBackend {
         self.inner.segments().backend()
     }
@@ -1230,54 +1001,13 @@ impl Snapshot {
     pub fn get(&self, id: StringId) -> Option<&[u8]> {
         self.inner.get(id)
     }
-
-    /// Plain query at snapshot time.
-    #[deprecated(note = "use Queryable::matches, or Queryable::search with a SearchRequest")]
-    pub fn query(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        crate::exec::legacy_query(&self.inner, query, tau)
-    }
-
-    /// Allocation-free query variant with caller-owned scratch.
-    #[deprecated(note = "use Queryable::search; batches reuse scratch internally")]
-    pub fn query_with(
-        &self,
-        query: &[u8],
-        tau: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Match>,
-    ) {
-        crate::exec::query_into(&self.inner, query, tau, scratch, out);
-    }
-
-    /// A reusable scratch buffer for [`Snapshot::query_with`].
-    #[deprecated(note = "the SearchRequest engine manages scratch internally")]
-    pub fn scratch(&self) -> QueryScratch {
-        QueryScratch::new()
-    }
-
-    /// Answers a batch of queries at one threshold, sequentially.
-    #[deprecated(note = "use Queryable::search_batch with SearchRequest::uniform")]
-    pub fn query_batch<Q: AsRef<[u8]> + Sync>(&self, queries: &[Q], tau: usize) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, 1)
-    }
-
-    /// Batch queries across `threads` worker threads (0 = available
-    /// parallelism).
-    #[deprecated(note = "use Queryable::search_batch with a Parallelism hint")]
-    pub fn par_query_batch<Q: AsRef<[u8]> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: usize,
-        threads: usize,
-    ) -> Vec<Vec<Match>> {
-        crate::exec::legacy_batch(&self.source(), queries, tau, threads)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::{CacheOutcome, CachePolicy, ExecStats, SearchRequest};
+    use crate::Match;
 
     fn brute(index: &OnlineIndex, query: &[u8], tau: usize) -> Vec<Match> {
         (0..index.inner.universe() as u32)
@@ -1483,12 +1213,14 @@ mod tests {
 
     #[test]
     fn builder_configures_all_knobs() {
+        let obs = Arc::new(EngineObs::new());
         let index = OnlineIndex::builder(2)
-            .key_backend(KeyBackend::Interned)
             .cache_capacity(0)
+            .observability(Arc::clone(&obs))
             .build_from(["alpha beta", "alpha bete"]);
         assert_eq!(index.tau_max(), 2);
-        assert_eq!(index.key_backend(), KeyBackend::Interned);
+        assert_eq!(index.key_backend(), KeyBackend::Owned);
+        assert!(Arc::ptr_eq(index.observability().unwrap(), &obs));
         assert_eq!(index.matches(b"alpha beta", 1).len(), 2);
         // Capacity 0 disables caching: repeated Use requests never hit.
         let req = SearchRequest::new(b"alpha beta", 1).with_cache(CachePolicy::Use);

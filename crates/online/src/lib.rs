@@ -12,7 +12,10 @@
 //! §4, extension verification §5.2 — Li, Deng, Wang, Feng, PVLDB 2011):
 //!
 //! * [`OnlineIndex`] — a dynamic, non-evicting index over an owned string
-//!   store: `insert` / `remove`, built via [`OnlineIndex::builder`];
+//!   store: `insert` / `remove`, built via [`OnlineIndex::builder`]. Its
+//!   segment lane is one byte-keyed map; an index loaded with
+//!   [`OnlineIndex::load_direct`] probes the snapshot's sorted runs
+//!   instead until its first mutation ([`KeyBackend`]);
 //! * [`Queryable`] — **the** query surface, implemented by both
 //!   [`OnlineIndex`] and [`Snapshot`] over one execution engine: typed
 //!   [`SearchRequest`]s (per-query τ ≤ τ_max, top-k limits, count-only,
@@ -101,7 +104,7 @@ pub use cache::CacheStats;
 #[doc(hidden)]
 pub use exec::ExecSource;
 pub use exec::Queryable;
-pub use index::{KeyBackend, OnlineIndex, OnlineIndexBuilder, OnlineStats, QueryScratch, Snapshot};
+pub use index::{KeyBackend, OnlineIndex, OnlineIndexBuilder, OnlineStats, Snapshot};
 pub use obs::{wall_deadline, EngineObs, WallClockTicks};
 pub use passjoin::sink::{
     pull_channel, BudgetPool, BudgetSink, CollectSink, CountSink, FnSink, ManualTicks, MatchSink,

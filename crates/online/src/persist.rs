@@ -8,26 +8,29 @@
 //! | 1  | META         | τ_max, epoch, universe, live count, arena length, posting-entry count, key backend |
 //! | 2  | SPANS        | per id: `(start: u64, len: u32)` into the arena; `start = u64::MAX` marks a tombstone |
 //! | 3  | STRINGS      | the arena: every live string's bytes, concatenated in id order |
-//! | 4  | SEGMENTS     | byte-keyed posting stream (`passjoin_persist::segmap::encode`) — owned backend only |
-//! | 5  | SEGMENTS_INT | interner dictionary + id-keyed postings (`segmap::encode_interned`) — interned backend only |
+//! | 4  | SEGMENTS     | byte-keyed posting stream (`passjoin_persist::segmap::encode`) — what every save writes |
+//! | 5  | SEGMENTS_INT | segment dictionary + rank-keyed postings (`segmap::decode_interned`) — read only, from files written by the retired interned backend |
 //! | 6  | DIRECT_DIR   | direct-probe length directory (`passjoin_persist::segdirect`) |
 //! | 7  | DIRECT_RUNS  | direct-probe run table, 28 B/run, `(l, slot, key)`-sorted |
 //! | 8  | DIRECT_KEYS  | direct-probe key blob |
 //! | 9  | DIRECT_IDS   | direct-probe id blob, 8-byte-aligned at its file offset |
 //!
 //! Exactly one of sections 4/5 is present, matching the META backend
-//! code. Sections 6–9 are always present in v3 and encode the *same*
-//! postings as sorted arrays that [`passjoin::DirectSegmentIndex`] probes
-//! straight out of the loaded buffer: the cost is storing the postings
-//! twice, the payoff is [`LoadMode::Direct`] loads that never replay a
-//! posting. **Version 1** files (6-field META, always section 4; backend
-//! defaults to owned) and **version 2** files (no direct appendix) keep
-//! loading; on them [`LoadMode::Direct`] reports the appendix missing
-//! rather than silently rebuilding.
+//! code (0 = section 4, 1 = section 5; saves always write 0). Section 5 is
+//! decoded straight into owned keys, so such a file loads as an owned
+//! index and re-saves as one. Sections 6–9 are always present in v3 and
+//! encode the *same* postings as sorted arrays that
+//! [`passjoin::DirectSegmentIndex`] probes straight out of the loaded
+//! buffer: the cost is storing the postings twice, the payoff is
+//! [`LoadMode::Direct`] loads that never replay a posting. **Version 1**
+//! files (6-field META, always section 4; backend defaults to owned) and
+//! **version 2** files (no direct appendix) keep loading; on them
+//! [`LoadMode::Direct`] reports the appendix missing rather than silently
+//! rebuilding.
 //!
 //! Saving walks the index in id order, so output is deterministic — and
-//! independent of how the index was loaded: a direct-probe store re-saves
-//! its *origin* backend's section byte-identically.
+//! independent of how the index was loaded: a direct-probe store writes
+//! the same section 4 a rebuilt one does.
 //! Loading reads the file into **one contiguous buffer** and reconstructs
 //! the index around it: string entries become zero-copy spans of that
 //! buffer (see `Stored::Arena` in the index module), and the segment maps
@@ -35,9 +38,9 @@
 //! corpus byte is copied. Under [`LoadMode::Direct`] even the replay
 //! disappears: the segment lane *is* the buffer. The loaded index is
 //! fully mutable either way: later inserts own their bytes, removes drop
-//! span entries, a direct store's first mutation promotes it back to its
-//! origin hash-map backend, and the arena handle keeps the buffer alive
-//! exactly as long as any snapshot or clone needs it.
+//! span entries, a direct store's first mutation rebuilds it as the owned
+//! map, and the arena handle keeps the buffer alive exactly as long as any
+//! snapshot or clone needs it.
 //!
 //! Load-time validation is layered: the container re-checks magic,
 //! version, and per-section CRCs ([`PersistError`] covers each failure
@@ -54,10 +57,9 @@ use std::sync::{Arc, Mutex};
 
 use passjoin_obs::{Histogram, TraceEvent};
 use passjoin_persist::{segdirect, segmap, Cursor, PersistError, SnapshotFile, SnapshotWriter};
-use sj_common::StringId;
 
 use crate::cache::QueryCache;
-use crate::index::{Inner, KeyBackend, SegmentStore, DEFAULT_CACHE_CAPACITY};
+use crate::index::{Inner, SegmentStore, DEFAULT_CACHE_CAPACITY};
 use crate::obs::{trace, EngineObs};
 use crate::{OnlineIndex, Snapshot};
 
@@ -69,8 +71,9 @@ const SEC_SEGMENTS: u32 = 4;
 const SEC_SEGMENTS_INTERNED: u32 = 5;
 
 /// META backend codes (v2+; v1 files predate the field and are owned).
-const BACKEND_OWNED: u64 = 0;
-const BACKEND_INTERNED: u64 = 1;
+/// Code 1 marks a file from the retired interned backend (section 5).
+pub(crate) const BACKEND_OWNED: u64 = 0;
+pub(crate) const BACKEND_INTERNED: u64 = 1;
 
 /// Sentinel `start` marking a removed id in the SPANS section.
 /// `pub(crate)`: the lazy string table decodes span entries on access.
@@ -90,8 +93,8 @@ impl Snapshot {
     /// (truncating any existing file); returns the file's byte length.
     ///
     /// The write is deterministic: saving the same snapshot twice
-    /// produces byte-identical files. The segment section matches the
-    /// index's key backend, and loading restores that backend.
+    /// produces byte-identical files, whichever store the segment lane is
+    /// in.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, PersistError> {
         save_inner(&self.inner, self.epoch, path.as_ref(), self.obs.as_deref())
     }
@@ -120,14 +123,15 @@ impl<'a> PhaseTimer<'a> {
 /// How a load materializes the segment lane of a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Decode the hash-map section (4 or 5) and replay every posting into
-    /// a freshly allocated map — the v1/v2 path, O(postings) work, full
-    /// structural validation. Works on every supported format version.
+    /// Decode the hash-map section (4, or 5 from older files) and replay
+    /// every posting into a freshly allocated owned map — the v1/v2 path,
+    /// O(postings) work, full structural validation. Works on every
+    /// supported format version.
     Rebuild,
     /// Adopt the direct-probe appendix (sections 6–9, v3+) in place: the
     /// loaded index probes sorted runs straight out of the file buffer and
-    /// no posting is ever replayed. The first mutation promotes the store
-    /// back to the hash-map backend it was saved from.
+    /// no posting is ever replayed. The first mutation rebuilds the store
+    /// as the owned map.
     Direct {
         /// Run the O(postings) deep validation pass
         /// ([`passjoin::DirectSegmentIndex::validate_deep`] plus the
@@ -150,9 +154,8 @@ impl OnlineIndex {
     /// The whole file is read into one contiguous buffer; string entries
     /// are zero-copy views into it, and the segment index is replayed from
     /// the serialized postings — no re-partitioning. Ids, tombstones, the
-    /// mutation epoch, τ_max, and the key backend all round-trip exactly,
-    /// so a loaded index answers every query byte-identically to the index
-    /// that was saved.
+    /// mutation epoch, and τ_max all round-trip exactly, so a loaded index
+    /// answers every query byte-identically to the index that was saved.
     ///
     /// The index keeps the *entire* file buffer alive (not just the
     /// string-arena section) for as long as any arena-backed string is
@@ -180,7 +183,7 @@ impl OnlineIndex {
     /// the segment lane is the file's own sorted-run appendix (v3+), so no
     /// posting is replayed and no hash map is allocated. Queries answer
     /// byte-identically to a [`OnlineIndex::load`] of the same file; the
-    /// first mutation transparently rebuilds the original backend.
+    /// first mutation transparently rebuilds the owned map.
     pub fn load_direct(path: impl AsRef<Path>) -> Result<Self, PersistError> {
         load_impl(
             path.as_ref(),
@@ -348,41 +351,30 @@ fn load_file_impl(
             }
         }
 
-        // The longest live string bounds every legal posting length — and,
-        // with it, the allocation any hostile segment section can force.
-        let origin = match backend {
-            BACKEND_OWNED => KeyBackend::Owned,
-            BACKEND_INTERNED => KeyBackend::Interned,
-            _ => {
-                return Err(PersistError::Corrupt {
-                    context: "unknown key-backend code in the meta section",
-                })
-            }
-        };
+        if !matches!(backend, BACKEND_OWNED | BACKEND_INTERNED) {
+            return Err(PersistError::Corrupt {
+                context: "unknown key-backend code in the meta section",
+            });
+        }
         let deep_validate = match mode {
             LoadMode::Rebuild => true,
             LoadMode::Direct { deep_validate } => deep_validate,
         };
         let seg_payload_len;
+        // The longest live string bounds every legal posting length — and,
+        // with it, the allocation any hostile segment section can force.
         let segments = match mode {
-            LoadMode::Rebuild => match origin {
-                KeyBackend::Owned => {
-                    let payload = file.section(SEC_SEGMENTS)?;
-                    seg_payload_len = payload.len();
-                    SegmentStore::Owned(segmap::decode(payload, tau_max, universe, max_live_len)?)
-                }
-                KeyBackend::Interned => {
-                    let payload = file.section(SEC_SEGMENTS_INTERNED)?;
-                    seg_payload_len = payload.len();
-                    SegmentStore::Interned(segmap::decode_interned(
-                        payload,
-                        tau_max,
-                        universe,
-                        max_live_len,
-                    )?)
-                }
-                KeyBackend::Direct => unreachable!("origin is decoded from the backend code"),
-            },
+            LoadMode::Rebuild if backend == BACKEND_OWNED => {
+                let payload = file.section(SEC_SEGMENTS)?;
+                seg_payload_len = payload.len();
+                SegmentStore::Owned(segmap::decode(payload, tau_max, universe, max_live_len)?)
+            }
+            LoadMode::Rebuild => {
+                let payload = file.section(SEC_SEGMENTS_INTERNED)?;
+                seg_payload_len = payload.len();
+                let map = segmap::decode_interned(payload, tau_max, universe, max_live_len)?;
+                SegmentStore::Owned(map)
+            }
             LoadMode::Direct { .. } => {
                 let index =
                     segdirect::decode_direct(file, tau_max, deep_validate.then_some(universe))?;
@@ -403,7 +395,7 @@ fn load_file_impl(
                 .iter()
                 .map(|&id| file.section_range(id).map(|r| r.len()))
                 .sum::<Result<usize, _>>()?;
-                SegmentStore::from_direct(index, origin)
+                SegmentStore::Direct(index)
             }
         };
         if segments.entries() != segment_entries {
@@ -491,10 +483,6 @@ fn load_file_impl(
     }
 }
 
-/// The `(l, slot, key, ids)` callback a posting visitor feeds — the
-/// argument shape of [`segmap::encode_with`] and friends.
-type PostingSink<'a> = &'a mut dyn FnMut(usize, usize, &[u8], &[StringId]);
-
 fn save_inner(
     inner: &Inner,
     epoch: u64,
@@ -522,63 +510,30 @@ fn save_inner(
         }
     }
 
-    // A direct store saves as its *origin* backend: the hash-map section
-    // and META code are exactly what the pre-snapshot index would have
-    // written, so load→save round-trips are byte-identical regardless of
-    // which load mode produced the index.
-    let backend_code = match inner.segments().save_backend() {
-        KeyBackend::Owned => BACKEND_OWNED,
-        KeyBackend::Interned => BACKEND_INTERNED,
-        KeyBackend::Direct => unreachable!("save_backend resolves to the origin backend"),
-    };
+    let segments = inner.segments();
     let mut meta = Vec::with_capacity(56);
     meta.extend_from_slice(&(inner.tau_max() as u64).to_le_bytes());
     meta.extend_from_slice(&epoch.to_le_bytes());
     meta.extend_from_slice(&(universe as u64).to_le_bytes());
     meta.extend_from_slice(&(live as u64).to_le_bytes());
     meta.extend_from_slice(&(arena.len() as u64).to_le_bytes());
-    meta.extend_from_slice(&inner.segments().entries().to_le_bytes());
-    meta.extend_from_slice(&backend_code.to_le_bytes());
+    meta.extend_from_slice(&segments.entries().to_le_bytes());
+    meta.extend_from_slice(&BACKEND_OWNED.to_le_bytes());
     if let Some(t) = timer.as_mut() {
         t.lap(|o| &o.snapshot_save_sections_ns);
     }
 
-    let (seg_id, seg_payload) = match inner.segments() {
-        SegmentStore::Owned(map) => (SEC_SEGMENTS, segmap::encode(map)),
-        SegmentStore::Interned(index) => (SEC_SEGMENTS_INTERNED, segmap::encode_interned(index)),
-        SegmentStore::Direct { index, origin } => {
-            let visit = |f: PostingSink<'_>| {
-                index
-                    .try_visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
-                    .expect("loaded direct postings are structurally valid");
-            };
-            match origin {
-                KeyBackend::Owned => (
-                    SEC_SEGMENTS,
-                    segmap::encode_with(index.scheme(), index.tau(), visit),
-                ),
-                KeyBackend::Interned => (
-                    SEC_SEGMENTS_INTERNED,
-                    segmap::encode_interned_with(index.scheme(), index.tau(), visit),
-                ),
-                KeyBackend::Direct => unreachable!("direct stores record a hash-map origin"),
-            }
-        }
-    };
-    // The direct-probe appendix (sections 6–9) is written on every save,
-    // whatever the backend — it is what makes the file loadable without
-    // replaying a single posting.
-    let direct = match inner.segments() {
-        SegmentStore::Owned(map) => segdirect::encode_direct_owned(map),
-        SegmentStore::Interned(index) => segdirect::encode_direct_interned(index),
-        SegmentStore::Direct { index, .. } => {
-            segdirect::encode_direct(index.scheme(), index.tau(), |f| {
-                index
-                    .try_visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
-                    .expect("loaded direct postings are structurally valid")
-            })
-        }
-    };
+    // Both stores visit their postings in the same `(l, slot, key)` order,
+    // so a direct-loaded index writes exactly the section 4 a rebuilt one
+    // does. The direct-probe appendix (sections 6–9) is written on every
+    // save — it is what makes the file loadable without replaying a
+    // single posting.
+    let seg_payload = segmap::encode_with(segments.scheme(), segments.tau(), |f| {
+        segments.visit_postings(f)
+    });
+    let direct = segdirect::encode_direct(segments.scheme(), segments.tau(), |f| {
+        segments.visit_postings(f)
+    });
     if let Some(t) = timer.as_mut() {
         t.lap(|o| &o.snapshot_save_encode_ns);
     }
@@ -610,7 +565,7 @@ fn save_inner(
         .section(SEC_META, meta)
         .section(SEC_SPANS, spans)
         .section(SEC_STRINGS, arena)
-        .section(seg_id, seg_payload);
+        .section(SEC_SEGMENTS, seg_payload);
     for (id, payload) in direct.finish(ids_at) {
         writer.section(id, payload);
     }

@@ -3,10 +3,10 @@
 //! A request separates *what to retrieve* — the query bytes, a per-query
 //! threshold, an optional top-k limit, count-only mode — from *how to
 //! execute it* — cache policy and a parallelism hint for batches. Every
-//! query path ([`crate::Queryable::search`], [`search_batch`], the
-//! deprecated legacy wrappers, the CLI, the benches) compiles down to
+//! query path ([`crate::Queryable::search`], [`search_batch`],
+//! [`crate::Queryable::matches`], the CLI, the benches) compiles down to
 //! requests executed by one engine (`crate::exec`), so a new serving
-//! feature is a new request field, not a seventh method variant.
+//! feature is a new request field, not a new method variant.
 //!
 //! Each answered request carries its own execution statistics
 //! ([`ExecStats`]) and cache outcome, so callers can observe per-query
@@ -59,8 +59,7 @@ use crate::Match;
 /// [`CacheOutcome::Bypass`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
-    /// Never consult the cache (the default — matches the legacy `query`
-    /// methods, which cached only through the explicit `query_cached`).
+    /// Never consult the cache (the default).
     #[default]
     Bypass,
     /// Serve from the cache when possible; store computed full results.
@@ -391,8 +390,8 @@ pub struct SearchRequest<'a> {
 
 impl<'a> SearchRequest<'a> {
     /// A plain request owning its query bytes: all matches within `tau`
-    /// of `query`, ascending by id — exactly what the legacy `query`
-    /// method returned. For batches built over an existing query set,
+    /// of `query`, ascending by id — what [`crate::Queryable::matches`]
+    /// returns. For batches built over an existing query set,
     /// [`SearchRequest::borrowed`]/[`SearchRequest::uniform`] avoid
     /// copying the bytes.
     pub fn new(query: impl Into<Vec<u8>>, tau: usize) -> Self {
@@ -418,8 +417,8 @@ impl<'a> SearchRequest<'a> {
         }
     }
 
-    /// One plain request per query, all at the same `tau` — the uniform
-    /// batch the legacy `query_batch` served. Borrows the query bytes.
+    /// One plain request per query, all at the same `tau`. Borrows the
+    /// query bytes.
     pub fn uniform<Q: AsRef<[u8]>>(queries: &'a [Q], tau: usize) -> Vec<Self> {
         queries
             .iter()
@@ -581,7 +580,7 @@ pub struct QueryOutcome {
     /// count-only requests.
     ///
     /// Shared, not copied: a cache hit hands out the cached vector
-    /// itself (zero-copy, like the legacy `query_cached`), and an
+    /// itself (zero-copy), and an
     /// uncached result is the engine's buffer wrapped once. Use
     /// [`QueryOutcome::into_matches`] to take ownership — free unless
     /// the result is also retained by the cache.
@@ -615,8 +614,7 @@ pub struct SearchResponse {
 }
 
 impl SearchResponse {
-    /// Strips the outcomes down to their match vectors (request order) —
-    /// the legacy `query_batch` return shape.
+    /// Strips the outcomes down to their match vectors (request order).
     pub fn into_matches(self) -> Vec<Vec<Match>> {
         self.outcomes
             .into_iter()

@@ -54,6 +54,7 @@ use sj_common::StringId;
 use crate::exec::{ExecSource, Queryable};
 use crate::index::KeyBackend;
 use crate::obs::EngineObs;
+use crate::persist::{BACKEND_INTERNED, BACKEND_OWNED};
 use crate::request::{
     CacheOutcome, Completion, ExecStats, QueryOutcome, SearchRequest, SearchResponse,
 };
@@ -182,7 +183,6 @@ pub struct ShardedIndexBuilder {
     tau_max: usize,
     shards: usize,
     shard_by: ShardBy,
-    backend: KeyBackend,
     cache_capacity: Option<usize>,
     registry: Option<Arc<Registry>>,
 }
@@ -193,7 +193,6 @@ impl ShardedIndexBuilder {
             tau_max,
             shards: 1,
             shard_by: ShardBy::default(),
-            backend: KeyBackend::default(),
             cache_capacity: None,
             registry: None,
         }
@@ -210,12 +209,6 @@ impl ShardedIndexBuilder {
     /// The partitioning policy (default [`ShardBy::Len`]).
     pub fn shard_by(mut self, shard_by: ShardBy) -> Self {
         self.shard_by = shard_by;
-        self
-    }
-
-    /// The segment-key backend every shard is built with.
-    pub fn key_backend(mut self, backend: KeyBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -275,7 +268,7 @@ impl ShardedIndexBuilder {
         let shards = bands
             .into_iter()
             .map(|band| {
-                let mut builder = OnlineIndex::builder(self.tau_max).key_backend(self.backend);
+                let mut builder = OnlineIndex::builder(self.tau_max);
                 if let Some(capacity) = self.cache_capacity {
                     builder = builder.cache_capacity(capacity);
                 }
@@ -297,7 +290,6 @@ impl ShardedIndexBuilder {
             shards,
             shard_by: self.shard_by,
             tau_max: self.tau_max,
-            backend: self.backend,
             epoch: 0,
             next_id: 0,
             obs,
@@ -324,7 +316,6 @@ pub struct ShardedIndex {
     shards: Vec<Shard>,
     shard_by: ShardBy,
     tau_max: usize,
-    backend: KeyBackend,
     epoch: u64,
     next_id: u32,
     obs: Option<RouterObs>,
@@ -370,7 +361,6 @@ impl ShardedIndex {
             "one id map per shard is required"
         );
         let mut next_id = 0u32;
-        let backend = shards.first().map(|s| s.key_backend()).unwrap_or_default();
         let shards = shards
             .into_iter()
             .zip(id_maps)
@@ -398,7 +388,6 @@ impl ShardedIndex {
             shards,
             shard_by: ShardBy::Hash,
             tau_max,
-            backend,
             epoch: 0,
             next_id,
             obs: None,
@@ -764,17 +753,16 @@ impl Queryable for ShardedIndex {
         SearchResponse { outcomes }
     }
 
-    fn matches(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        self.search(&SearchRequest::borrowed(query, tau))
-            .into_matches()
-    }
-
     fn tau_max(&self) -> usize {
         self.tau_max
     }
 
+    /// The first shard's store ([`KeyBackend::Owned`] for a router with
+    /// no shards); every shard the router builds or loads is owned.
     fn key_backend(&self) -> KeyBackend {
-        self.backend
+        self.shards
+            .first()
+            .map_or(KeyBackend::Owned, |s| s.source.queryable().key_backend())
     }
 
     fn len(&self) -> usize {
@@ -1059,10 +1047,6 @@ const SEC_ROUTER_IDS: u32 = 18;
 const SHARD_BY_LEN: u64 = 0;
 const SHARD_BY_HASH: u64 = 1;
 
-/// META backend codes (same values the online snapshot format uses).
-const BACKEND_OWNED: u64 = 0;
-const BACKEND_INTERNED: u64 = 1;
-
 /// The path shard `i`'s snapshot file lives at: `<manifest>.shard<i>`.
 fn shard_path(manifest: &Path, i: usize) -> std::path::PathBuf {
     let mut os = manifest.as_os_str().to_owned();
@@ -1101,19 +1085,9 @@ impl ShardedIndex {
             .to_le_bytes(),
         );
         meta.extend_from_slice(&(self.tau_max as u64).to_le_bytes());
-        let backend_code = match self.backend {
-            KeyBackend::Owned => BACKEND_OWNED,
-            KeyBackend::Interned => BACKEND_INTERNED,
-            // Shards assembled from direct-loaded indices have no single
-            // buildable backend to record; reload the shards with the
-            // rebuild path before persisting a router over them.
-            KeyBackend::Direct => {
-                return Err(PersistError::Corrupt {
-                    context: "routers over direct-loaded shards cannot be persisted",
-                })
-            }
-        };
-        meta.extend_from_slice(&backend_code.to_le_bytes());
+        // Every shard saves as an owned snapshot, so the manifest records
+        // the owned backend code (the same values the online format uses).
+        meta.extend_from_slice(&BACKEND_OWNED.to_le_bytes());
         meta.extend_from_slice(&self.epoch.to_le_bytes());
         meta.extend_from_slice(&u64::from(self.next_id).to_le_bytes());
 
@@ -1167,15 +1141,13 @@ impl ShardedIndex {
             }
         };
         let tau_max = meta.len64()?;
-        let backend = match meta.u64()? {
-            BACKEND_OWNED => KeyBackend::Owned,
-            BACKEND_INTERNED => KeyBackend::Interned,
-            _ => {
-                return Err(PersistError::Corrupt {
-                    context: "unknown key-backend code in the router manifest",
-                })
-            }
-        };
+        // Manifests from the retired interned backend (code 1) load like
+        // owned ones: each shard's own snapshot says how to decode it.
+        if !matches!(meta.u64()?, BACKEND_OWNED | BACKEND_INTERNED) {
+            return Err(PersistError::Corrupt {
+                context: "unknown key-backend code in the router manifest",
+            });
+        }
         let epoch = meta.u64()?;
         let next_id = meta.u64()?;
         meta.finish()?;
@@ -1212,7 +1184,7 @@ impl ShardedIndex {
                 map.push(id);
             }
             let index = OnlineIndex::load(shard_path(path, i))?;
-            if index.tau_max() != tau_max || index.key_backend() != backend {
+            if index.tau_max() != tau_max {
                 return Err(PersistError::Corrupt {
                     context: "shard snapshot disagrees with the router manifest",
                 });
@@ -1236,7 +1208,6 @@ impl ShardedIndex {
             shards,
             shard_by,
             tau_max,
-            backend,
             epoch,
             next_id,
             obs: None,

@@ -1,28 +1,30 @@
-//! Differential harness for the segment-key backends: an interned-key
-//! [`OnlineIndex`] must be **byte-identical** to an owned-key one on every
-//! query surface — same ids, same distances, same order — for every
-//! τ ≤ τ_max, on random, planted, and churned corpora, through the single,
-//! batched, parallel, cached, and snapshot query paths, and across
-//! save/load. A second key representation is a classic source of silent
-//! divergence; this suite is the contract that keeps the two backends one
-//! index.
+//! Differential harness for the two segment stores: an index whose segment
+//! lane probes a loaded snapshot's sorted runs ([`KeyBackend::Direct`],
+//! from [`OnlineIndex::load_direct`]) must be **byte-identical** to the
+//! built index's owned map ([`KeyBackend::Owned`]) on every query surface —
+//! same ids, same distances, same order — for every τ ≤ τ_max, on random,
+//! planted, and churned corpora, through the single, batched, parallel,
+//! cached, streamed, and snapshot query paths, and across save/load. A
+//! second probe structure is a classic source of silent divergence; this
+//! suite is the contract that keeps the two stores one index.
 
+mod common;
+
+use common::reopen_direct;
 use passjoin_online::{
-    CachePolicy, KeyBackend, Match, OnlineIndex, Parallelism, Queryable, SearchRequest,
+    CachePolicy, CollectSink, KeyBackend, Match, MatchSink, OnlineIndex, Parallelism, Queryable,
+    SearchRequest,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds the same collection under both backends.
+/// The same collection on both stores: built, and reopened direct.
 fn both(strings: &[Vec<u8>], tau_max: usize) -> (OnlineIndex, OnlineIndex) {
     let owned = OnlineIndex::builder(tau_max).build_from(strings.iter());
-    let interned = OnlineIndex::builder(tau_max)
-        .key_backend(KeyBackend::Interned)
-        .build_from(strings.iter());
+    let direct = reopen_direct(&owned);
     assert_eq!(owned.key_backend(), KeyBackend::Owned);
-    assert_eq!(interned.key_backend(), KeyBackend::Interned);
-    (owned, interned)
+    (owned, direct)
 }
 
 /// Uniform-τ batch through the typed API, with a thread-count hint.
@@ -39,35 +41,71 @@ fn batch<S: Queryable>(
     source.search_batch(&reqs).into_matches()
 }
 
+/// Streams one plain request and returns its emissions in id order.
+fn streamed(source: &OnlineIndex, query: &[u8], tau: usize) -> Vec<Match> {
+    let mut emitted = Vec::new();
+    source.search_streaming(
+        &SearchRequest::borrowed(query, tau),
+        &mut CollectSink::new(&mut emitted),
+    );
+    emitted.sort_unstable();
+    emitted
+}
+
+/// A uniform-τ streamed batch, one sink per request, emissions id-sorted.
+fn streamed_batch(source: &OnlineIndex, queries: &[Vec<u8>], tau: usize) -> Vec<Vec<Match>> {
+    let reqs = SearchRequest::uniform(queries, tau);
+    let mut outs: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
+    {
+        let mut sinks: Vec<CollectSink<'_>> = outs.iter_mut().map(CollectSink::new).collect();
+        let mut refs: Vec<&mut (dyn MatchSink + Send)> = sinks
+            .iter_mut()
+            .map(|s| s as &mut (dyn MatchSink + Send))
+            .collect();
+        source.search_batch_streaming(&reqs, &mut refs);
+    }
+    for out in &mut outs {
+        out.sort_unstable();
+    }
+    outs
+}
+
 /// Asserts every query surface agrees between the two indices for every
 /// τ ≤ τ_max over `queries`.
-fn assert_all_paths_agree(owned: &OnlineIndex, interned: &OnlineIndex, queries: &[Vec<u8>]) {
+fn assert_all_paths_agree(owned: &OnlineIndex, direct: &OnlineIndex, queries: &[Vec<u8>]) {
     let tau_max = owned.tau_max();
-    assert_eq!(tau_max, interned.tau_max());
-    assert_eq!(owned.len(), interned.len());
+    assert_eq!(tau_max, direct.tau_max());
+    assert_eq!(owned.len(), direct.len());
     for tau in 0..=tau_max {
         for q in queries {
+            let expected = owned.matches(q, tau);
             assert_eq!(
-                owned.matches(q, tau),
-                interned.matches(q, tau),
+                direct.matches(q, tau),
+                expected,
                 "single query {:?} at tau={tau}",
                 String::from_utf8_lossy(q)
             );
+            assert_eq!(streamed(direct, q, tau), expected, "streamed at tau={tau}");
         }
         assert_eq!(
             batch(owned, queries, tau, 1),
-            batch(interned, queries, tau, 1),
+            batch(direct, queries, tau, 1),
             "batch at tau={tau}"
         );
         assert_eq!(
             batch(owned, queries, tau, 3),
-            batch(interned, queries, tau, 3),
+            batch(direct, queries, tau, 3),
             "parallel batch at tau={tau}"
         );
         assert_eq!(
             batch(&owned.snapshot(), queries, tau, 1),
-            batch(&interned.snapshot(), queries, tau, 1),
+            batch(&direct.snapshot(), queries, tau, 1),
             "snapshot batch at tau={tau}"
+        );
+        assert_eq!(
+            streamed_batch(owned, queries, tau),
+            streamed_batch(direct, queries, tau),
+            "streamed batch at tau={tau}"
         );
     }
 }
@@ -99,16 +137,17 @@ proptest! {
         extra in off_corpus_queries(),
         tau_max in 1usize..5,
     ) {
-        let (owned, interned) = both(&strings, tau_max);
+        let (owned, direct) = both(&strings, tau_max);
         let mut queries = strings.clone();
         queries.extend(extra);
-        assert_all_paths_agree(&owned, &interned, &queries);
+        assert_all_paths_agree(&owned, &direct, &queries);
+        prop_assert_eq!(direct.key_backend(), KeyBackend::Direct, "queries never promote");
     }
 
     #[test]
     fn backends_agree_on_wide_corpora(strings in wide_corpus(), tau_max in 1usize..6) {
-        let (owned, interned) = both(&strings, tau_max);
-        assert_all_paths_agree(&owned, &interned, &strings);
+        let (owned, direct) = both(&strings, tau_max);
+        assert_all_paths_agree(&owned, &direct, &strings);
     }
 
     #[test]
@@ -117,13 +156,12 @@ proptest! {
         tau_max in 1usize..4,
         seed in proptest::arbitrary::any::<u64>(),
     ) {
-        // Mirror an insert → remove → insert history on both backends: ids
-        // evolve identically, so results must stay byte-identical. Churn is
-        // where the interned backend's liveness counting earns its keep
-        // (emptied keys must release dictionary ids, revivals must reuse
-        // them) — divergence here and not on fresh builds would point
-        // straight at the refcounts.
-        let (mut owned, mut interned) = both(&strings, tau_max);
+        // Mirror an insert → remove → insert history on both: ids evolve
+        // identically, so results must stay byte-identical. The direct
+        // index rebuilds its owned map on the first mutation, so each
+        // round also reopens the churned state direct — tombstones, holes
+        // in the short lane, and emptied keys all land in the sorted runs.
+        let (mut owned, mut direct) = both(&strings, tau_max);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut live: Vec<u32> = (0..strings.len() as u32).collect();
         for round in 0..3 {
@@ -131,39 +169,40 @@ proptest! {
             while i < live.len() {
                 if rng.gen_bool(0.4) {
                     let id = live.swap_remove(i);
-                    prop_assert_eq!(owned.remove(id), interned.remove(id), "round {}", round);
+                    prop_assert_eq!(owned.remove(id), direct.remove(id), "round {}", round);
                 } else {
                     i += 1;
                 }
             }
             for s in strings.iter().filter(|_| rng.gen_bool(0.5)) {
                 let a = owned.insert(s);
-                let b = interned.insert(s);
+                let b = direct.insert(s);
                 prop_assert_eq!(a, b);
                 live.push(a);
             }
-            assert_all_paths_agree(&owned, &interned, &strings);
+            assert_all_paths_agree(&owned, &direct, &strings);
+            assert_all_paths_agree(&owned, &reopen_direct(&owned), &strings);
         }
     }
 
     #[test]
     fn cached_paths_agree(strings in dense_corpus(), tau_max in 1usize..4) {
-        let (mut owned, mut interned) = both(&strings, tau_max);
+        let (mut owned, mut direct) = both(&strings, tau_max);
         let cached = |q: &Vec<u8>| SearchRequest::new(q.as_slice(), tau_max)
             .with_cache(CachePolicy::Use);
         for q in strings.iter().chain(strings.iter()) {
             // Second pass hits the cache on both sides.
-            let (o, i) = (owned.search(&cached(q)), interned.search(&cached(q)));
-            prop_assert_eq!(o.cache, i.cache, "cache outcomes must agree");
-            prop_assert_eq!(o.matches, i.matches);
+            let (o, d) = (owned.search(&cached(q)), direct.search(&cached(q)));
+            prop_assert_eq!(o.cache, d.cache, "cache outcomes must agree");
+            prop_assert_eq!(o.matches, d.matches);
         }
         if !strings.is_empty() {
             // Mutate, then re-query: both caches must invalidate alike.
-            prop_assert_eq!(owned.remove(0), interned.remove(0));
+            prop_assert_eq!(owned.remove(0), direct.remove(0));
             for q in &strings {
                 prop_assert_eq!(
                     owned.search(&cached(q)).matches,
-                    interned.search(&cached(q)).matches
+                    direct.search(&cached(q)).matches
                 );
             }
         }
@@ -171,25 +210,28 @@ proptest! {
 
     #[test]
     fn backends_agree_across_save_load(strings in dense_corpus(), tau_max in 1usize..4) {
-        // Save each backend's index and reload it: all four (fresh × loaded,
-        // owned × interned) must agree, and each load must restore its
-        // backend.
-        let (owned, interned) = both(&strings, tau_max);
+        // Both stores save the same bytes, and every reload of them —
+        // rebuilt or direct — answers alike.
+        let (owned, direct) = both(&strings, tau_max);
         let dir = std::env::temp_dir();
         let tag = std::process::id();
         let o_path = dir.join(format!("passjoin-diff-owned-{tag}-{:p}.snap", &owned));
-        let i_path = dir.join(format!("passjoin-diff-interned-{tag}-{:p}.snap", &owned));
+        let d_path = dir.join(format!("passjoin-diff-direct-{tag}-{:p}.snap", &owned));
         owned.save(&o_path).expect("save owned");
-        interned.save(&i_path).expect("save interned");
+        direct.save(&d_path).expect("save direct");
+        let (o_bytes, d_bytes) = (std::fs::read(&o_path), std::fs::read(&d_path));
         let o_loaded = OnlineIndex::load(&o_path).expect("load owned");
-        let i_loaded = OnlineIndex::load(&i_path).expect("load interned");
+        let d_loaded = OnlineIndex::load(&d_path).expect("load direct save");
+        let d_direct = OnlineIndex::load_direct(&d_path).expect("direct-load direct save");
         let _ = std::fs::remove_file(&o_path);
-        let _ = std::fs::remove_file(&i_path);
+        let _ = std::fs::remove_file(&d_path);
+        prop_assert_eq!(o_bytes.unwrap(), d_bytes.unwrap(), "stores save identical bytes");
         prop_assert_eq!(o_loaded.key_backend(), KeyBackend::Owned);
-        prop_assert_eq!(i_loaded.key_backend(), KeyBackend::Interned);
-        assert_all_paths_agree(&o_loaded, &i_loaded, &strings);
-        assert_all_paths_agree(&owned, &i_loaded, &strings);
-        assert_all_paths_agree(&o_loaded, &interned, &strings);
+        prop_assert_eq!(d_loaded.key_backend(), KeyBackend::Owned);
+        prop_assert_eq!(d_direct.key_backend(), KeyBackend::Direct);
+        assert_all_paths_agree(&o_loaded, &d_direct, &strings);
+        assert_all_paths_agree(&owned, &d_direct, &strings);
+        assert_all_paths_agree(&d_loaded, &direct, &strings);
     }
 }
 
@@ -213,45 +255,26 @@ fn planted_corpus(n: usize, seed: u64, max_edits: usize) -> Vec<Vec<u8>> {
 #[test]
 fn backends_agree_on_planted_corpus() {
     let strings = planted_corpus(250, 42, 2);
-    let (owned, interned) = both(&strings, 3);
+    let (owned, direct) = both(&strings, 3);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(5).cloned().collect();
-    assert_all_paths_agree(&owned, &interned, &queries);
-}
-
-#[test]
-fn interned_backend_is_smaller_on_planted_corpus() {
-    // The memory claim behind the backend (paper §6): author-style corpora
-    // repeat segments across strings, slots, and lengths, so one shared
-    // dictionary plus 4-byte keys beats per-key byte copies. Pinned here
-    // on the same corpus family the benches use, so a regression shows up
-    // as a test failure rather than a silent bench drift.
-    let strings = planted_corpus(500, 7, 2);
-    let (owned, interned) = both(&strings, 2);
-    let (o, i) = (owned.stats(), interned.stats());
-    assert_eq!(o.segment_entries, i.segment_entries);
-    assert!(
-        i.resident_bytes < o.resident_bytes,
-        "interned {} must be smaller than owned {}",
-        i.resident_bytes,
-        o.resident_bytes
-    );
+    assert_all_paths_agree(&owned, &direct, &queries);
 }
 
 #[test]
 fn backends_agree_after_full_churn_cycle() {
-    // Insert → remove everything → re-insert: the interned dictionary is
-    // fully released and revived; results must match a fresh owned build.
+    // Insert → remove everything → re-insert on a direct-reopened index:
+    // the first removal rebuilds the owned map out of the sorted runs,
+    // the last one empties it, and results must then match a fresh build.
     let strings = planted_corpus(150, 13, 2);
-    let mut interned = OnlineIndex::builder(2)
-        .key_backend(KeyBackend::Interned)
-        .build_from(strings.iter());
+    let (_, mut direct) = both(&strings, 2);
     for id in 0..strings.len() as u32 {
-        assert!(interned.remove(id));
+        assert!(direct.remove(id));
+        assert_eq!(direct.key_backend(), KeyBackend::Owned);
     }
-    assert!(interned.is_empty());
+    assert!(direct.is_empty());
     let mut renamed = Vec::with_capacity(strings.len());
     for s in &strings {
-        renamed.push(interned.insert(s));
+        renamed.push(direct.insert(s));
     }
     let owned = OnlineIndex::from_strings(strings.iter(), 2);
     for q in strings.iter().step_by(3) {
@@ -260,6 +283,6 @@ fn backends_agree_after_full_churn_cycle() {
             .into_iter()
             .map(|(id, d)| (renamed[id as usize], d))
             .collect();
-        assert_eq!(interned.matches(q, 2), expected);
+        assert_eq!(direct.matches(q, 2), expected);
     }
 }

@@ -2,7 +2,8 @@
 //! what the engine reports per request, and attaching it never changes
 //! an answer.
 //!
-//! Pinned here, on both key backends:
+//! Pinned here, on both segment stores (a built index, and the same index
+//! reopened with `load_direct`):
 //!
 //! 1. **Registry ≡ ΣExecStats** — after any mix of single, batch
 //!    (serial and parallel), streaming, and batch-streaming requests,
@@ -27,6 +28,10 @@
 //! 6. **Persistence metrics round-trip** — a save's section byte
 //!    counters equal the load's, the snapshot trace events fire, and a
 //!    `load_with` index comes back instrumented.
+//! 7. **`matches` is a request** — the convenience method runs through
+//!    the engine and is counted like `search`.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,18 +67,31 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The segment stores an index under test serves from: as built, and
+/// saved and reopened with `load_direct`.
+const STORES: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Direct];
+
+/// An index over `strings` on `store`, with `obs` attached (if any) only
+/// after the reopen, so the save behind it records nothing.
 fn build(
     strings: &[Vec<u8>],
     tau_max: usize,
-    backend: KeyBackend,
+    store: KeyBackend,
     cache: usize,
-    obs: &Arc<EngineObs>,
+    obs: Option<&Arc<EngineObs>>,
 ) -> OnlineIndex {
-    OnlineIndex::builder(tau_max)
-        .key_backend(backend)
-        .cache_capacity(cache)
-        .observability(Arc::clone(obs))
-        .build_from(strings.iter())
+    let builder = OnlineIndex::builder(tau_max).cache_capacity(cache);
+    if store == KeyBackend::Owned {
+        let builder = match obs {
+            Some(obs) => builder.observability(Arc::clone(obs)),
+            None => builder,
+        };
+        return builder.build_from(strings.iter());
+    }
+    let mut index = common::reopen_direct(&builder.build_from(strings.iter()));
+    index.set_cache_capacity(cache);
+    index.set_observability(obs.cloned());
+    index
 }
 
 fn counter(obs: &EngineObs, name: &str) -> u64 {
@@ -123,10 +141,10 @@ fn assert_registry_matches(obs: &EngineObs, total: &ExecStats, requests: u64) {
 /// the registry exactly once per request.
 #[test]
 fn registry_equals_summed_stats_across_all_paths() {
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+    for store in STORES {
         let obs = Arc::new(EngineObs::new());
         let strings = corpus(120, 11);
-        let index = build(&strings, 2, backend, 0, &obs);
+        let index = build(&strings, 2, store, 0, Some(&obs));
         let queries = corpus(80, 12);
 
         let mut total = ExecStats::default();
@@ -199,10 +217,10 @@ fn registry_equals_summed_stats_across_all_paths() {
 /// invalidations, and shaped (derived) hits.
 #[test]
 fn cache_counters_match_cache_stats() {
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+    for store in STORES {
         let obs = Arc::new(EngineObs::new());
         let strings = corpus(60, 21);
-        let mut index = build(&strings, 2, backend, 4, &obs);
+        let mut index = build(&strings, 2, store, 4, Some(&obs));
         let queries = corpus(12, 22);
 
         let cached = |q: &[u8]| SearchRequest::new(q, 2).with_cache(CachePolicy::Use);
@@ -249,10 +267,10 @@ fn cache_counters_match_cache_stats() {
 
 /// Runs one budgeted workload and returns `(per-reason registry tallies,
 /// per-reason completion tallies)` for it.
-fn truncation_tallies(streamed: bool, backend: KeyBackend) -> ([u64; 3], [u64; 3]) {
+fn truncation_tallies(streamed: bool, store: KeyBackend) -> ([u64; 3], [u64; 3]) {
     let obs = Arc::new(EngineObs::new());
     let strings = corpus(150, 31);
-    let index = build(&strings, 2, backend, 0, &obs);
+    let index = build(&strings, 2, store, 0, Some(&obs));
     let queries = corpus(60, 32);
 
     let expired = Arc::new(ManualTicks::new());
@@ -303,9 +321,9 @@ fn truncation_tallies(streamed: bool, backend: KeyBackend) -> ([u64; 3], [u64; 3
 /// report the same tally for the same workload.
 #[test]
 fn truncation_counters_agree_buffered_and_streamed() {
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-        let (buffered_counted, buffered_seen) = truncation_tallies(false, backend);
-        let (streamed_counted, streamed_seen) = truncation_tallies(true, backend);
+    for store in STORES {
+        let (buffered_counted, buffered_seen) = truncation_tallies(false, store);
+        let (streamed_counted, streamed_seen) = truncation_tallies(true, store);
         assert_eq!(buffered_counted, buffered_seen, "registry ≡ completions");
         assert_eq!(streamed_counted, streamed_seen, "registry ≡ completions");
         assert_eq!(
@@ -324,20 +342,17 @@ fn truncation_counters_agree_buffered_and_streamed() {
 /// collecting sink; and the collecting sink sees every boundary.
 #[test]
 fn observability_never_changes_results() {
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+    for store in STORES {
         let strings = corpus(80, 41);
         let queries = corpus(40, 42);
 
-        let bare = OnlineIndex::builder(2)
-            .key_backend(backend)
-            .cache_capacity(8)
-            .build_from(strings.iter());
+        let bare = build(&strings, 2, store, 8, None);
         let noop_obs = Arc::new(EngineObs::new());
-        let noop = build(&strings, 2, backend, 8, &noop_obs);
+        let noop = build(&strings, 2, store, 8, Some(&noop_obs));
         let collector = Arc::new(CollectingTraceSink::new());
         let collecting_obs =
             Arc::new(EngineObs::new().with_trace(Arc::clone(&collector) as Arc<_>));
-        let collecting = build(&strings, 2, backend, 8, &collecting_obs);
+        let collecting = build(&strings, 2, store, 8, Some(&collecting_obs));
 
         let reqs: Vec<SearchRequest> = queries
             .iter()
@@ -422,7 +437,7 @@ fn phase_attribution_is_exhaustive() {
     let strings: Vec<Vec<u8>> = (0..200)
         .map(|i| format!("match heavy string {:02}", i % 10).into_bytes())
         .collect();
-    let index = build(&strings, 2, KeyBackend::Owned, 8, &obs);
+    let index = build(&strings, 2, KeyBackend::Owned, 8, Some(&obs));
     let reqs: Vec<SearchRequest> = strings
         .iter()
         .step_by(2)
@@ -465,11 +480,11 @@ impl Drop for TempFile {
 /// instrumented index.
 #[test]
 fn snapshot_metrics_round_trip() {
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
+    for store in STORES {
         let save_trace = Arc::new(CollectingTraceSink::new());
         let save_obs = Arc::new(EngineObs::new().with_trace(Arc::clone(&save_trace) as Arc<_>));
         let strings = corpus(80, 51);
-        let index = build(&strings, 2, backend, 0, &save_obs);
+        let index = build(&strings, 2, store, 0, Some(&save_obs));
 
         let file = TempFile(temp_snapshot_path("roundtrip"));
         let bytes = index.save(&file.0).expect("save must succeed");
@@ -527,7 +542,7 @@ fn snapshot_metrics_round_trip() {
 fn wall_clock_deadline_truncates_and_is_counted() {
     let obs = Arc::new(EngineObs::new());
     let strings = corpus(100, 61);
-    let index = build(&strings, 2, KeyBackend::Owned, 0, &obs);
+    let index = build(&strings, 2, KeyBackend::Owned, 0, Some(&obs));
 
     let ticks = Arc::new(WallClockTicks::millis());
     let already_passed = ticks.ticks();
@@ -555,4 +570,22 @@ fn wall_clock_deadline_truncates_and_is_counted() {
             .search(&SearchRequest::borrowed(&strings[0], 2))
             .matches
     );
+}
+
+/// Contract 7: `Queryable::matches` is an ordinary engine request — it
+/// moves the request counter by one, on the index and on its snapshots.
+#[test]
+fn matches_is_counted_like_any_request() {
+    for store in STORES {
+        let obs = Arc::new(EngineObs::new());
+        let strings = corpus(40, 71);
+        let index = build(&strings, 2, store, 0, Some(&obs));
+        let found = index.matches(&strings[0], 2);
+        assert_eq!(counter(&obs, "passjoin_requests_total"), 1);
+        assert_eq!(hcount(&obs, "passjoin_request_ns"), 1);
+        let searched = index.search(&SearchRequest::borrowed(&strings[0], 2));
+        assert_eq!(found, *searched.matches);
+        index.snapshot().matches(&strings[0], 1);
+        assert_eq!(counter(&obs, "passjoin_requests_total"), 3);
+    }
 }

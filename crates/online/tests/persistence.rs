@@ -39,6 +39,52 @@ fn save_to_temp(index: &OnlineIndex, tag: &str) -> TempFile {
     file
 }
 
+/// Saves `index` the way the retired interned backend laid snapshots out:
+/// META backend code 1 and section 5 (a byte-sorted segment dictionary
+/// plus rank-keyed postings) in place of section 4, then the same
+/// direct-probe appendix. Transcoded from the owned save of `index`, so
+/// both files describe one collection (`v3_interned_snapshots_still_load`
+/// pins it byte-identical to a file that backend wrote).
+fn save_interned(index: &OnlineIndex, tag: &str) -> TempFile {
+    use passjoin_persist::{format, segdirect, segmap, SnapshotFile, SnapshotWriter};
+
+    let owned = save_to_temp(index, tag);
+    let file = SnapshotFile::open(&owned.0).unwrap();
+    let section = |id| file.section(id).unwrap().to_vec();
+    let mut meta = section(1);
+    meta[48..56].copy_from_slice(&1u64.to_le_bytes());
+    let (spans, arena) = (section(2), section(3));
+    let postings = segmap::decode(&section(4), index.tau_max(), usize::MAX, usize::MAX).unwrap();
+    let interned = segmap::encode_interned_with(postings.scheme(), postings.tau(), |f| {
+        postings.visit_postings(f)
+    });
+    let direct = segdirect::encode_direct_owned(&postings);
+    let mut ids_at = format::payload_base(8) as u64;
+    for len in [
+        meta.len(),
+        spans.len(),
+        arena.len(),
+        interned.len(),
+        direct.dir.len(),
+        direct.runs.len(),
+        direct.keys.len(),
+    ] {
+        ids_at += len as u64;
+    }
+    let mut writer = SnapshotWriter::new();
+    writer
+        .section(1, meta)
+        .section(2, spans)
+        .section(3, arena)
+        .section(5, interned);
+    for (id, payload) in direct.finish(ids_at) {
+        writer.section(id, payload);
+    }
+    let out = TempFile(temp_snapshot_path(&format!("{tag}-interned")));
+    writer.save(&out.0).unwrap();
+    out
+}
+
 /// Asserts the loaded index is equivalent to `original`: same metadata,
 /// same per-id strings (tombstones included), and byte-identical query
 /// results for every τ ≤ τ_max over `queries`.
@@ -543,29 +589,25 @@ fn missing_file_is_an_io_error() {
     assert!(matches!(OnlineIndex::load(&path), Err(PersistError::Io(_))));
 }
 
-/// The interned key backend's persistence contract: round trips restore
-/// the backend and answer identically, the new dictionary + id-keyed
-/// posting section survives the same corruption sweep as the rest of the
-/// file, and v1 (owned-key, pre-backend) snapshots keep loading.
+/// Snapshots from the retired interned key backend: section 5 (segment
+/// dictionary + rank-keyed postings) is decoded straight into owned keys,
+/// so such a file loads as an owned index that answers identically and
+/// re-saves as owned; the section survives the same corruption sweep as
+/// the rest of the file; and v1 (owned-key, pre-backend) snapshots keep
+/// loading.
 mod interned_backend {
     use super::*;
     use passjoin_online::KeyBackend;
-
-    fn interned_index(strings: &[Vec<u8>], tau_max: usize) -> OnlineIndex {
-        OnlineIndex::builder(tau_max)
-            .key_backend(KeyBackend::Interned)
-            .build_from(strings.iter())
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn round_trip_on_random_corpora(strings in small_corpus(), tau_max in 1usize..5) {
-            let index = interned_index(&strings, tau_max);
-            let file = save_to_temp(&index, "interned-random");
+            let index = OnlineIndex::from_strings(strings.iter(), tau_max);
+            let file = save_interned(&index, "interned-random");
             let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
-            prop_assert_eq!(loaded.key_backend(), KeyBackend::Interned);
+            prop_assert_eq!(loaded.key_backend(), KeyBackend::Owned);
             let mut queries = strings.clone();
             queries.push(b"abab".to_vec());
             queries.push(Vec::new());
@@ -578,20 +620,18 @@ mod interned_backend {
             tau_max in 1usize..4,
             seed in proptest::arbitrary::any::<u64>(),
         ) {
-            // Churn first: released-and-revived dictionary ids, tombstones,
-            // and emptied posting keys must all round-trip. The save
-            // compacts dead dictionary entries, so the loaded index may
-            // hold *fewer* interner ids — queries must not notice.
-            let mut index = interned_index(&strings, tau_max);
+            // Churn first: tombstones and emptied posting keys must come
+            // through the dictionary layout intact.
+            let mut index = OnlineIndex::from_strings(strings.iter(), tau_max);
             let mut rng = StdRng::seed_from_u64(seed);
             for id in 0..strings.len() as u32 {
                 if rng.gen_bool(0.35) {
                     index.remove(id);
                 }
             }
-            let file = save_to_temp(&index, "interned-churn");
+            let file = save_interned(&index, "interned-churn");
             let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
-            prop_assert_eq!(loaded.key_backend(), KeyBackend::Interned);
+            prop_assert_eq!(loaded.key_backend(), KeyBackend::Owned);
             assert_equivalent(&index, &loaded, &strings);
         }
     }
@@ -599,15 +639,14 @@ mod interned_backend {
     #[test]
     fn round_trip_on_planted_corpus_and_stays_mutable() {
         let strings = planted_corpus(200, 42, 2);
-        let index = interned_index(&strings, 3);
-        let file = save_to_temp(&index, "interned-planted");
+        let index = OnlineIndex::from_strings(strings.iter(), 3);
+        let file = save_interned(&index, "interned-planted");
         let mut loaded = OnlineIndex::load(&file.0).expect("load must succeed");
         let queries: Vec<Vec<u8>> = strings.iter().step_by(5).cloned().collect();
         assert_equivalent(&index, &loaded, &queries);
 
-        // The loaded index keeps mutating like a built one (arena-backed
-        // removes release dictionary refs; fresh inserts re-intern).
-        let mut twin = interned_index(&strings, 3);
+        // The loaded index keeps mutating like a built one.
+        let mut twin = OnlineIndex::from_strings(strings.iter(), 3);
         for id in (0..strings.len() as u32).step_by(3) {
             assert_eq!(loaded.remove(id), twin.remove(id));
         }
@@ -626,59 +665,103 @@ mod interned_backend {
 
     #[test]
     fn saves_are_deterministic_and_history_independent() {
+        // An interned file re-saves as exactly the owned file of the same
+        // content, whichever way it was loaded.
         let strings = planted_corpus(80, 3, 2);
-        let mut index = interned_index(&strings, 2);
+        let mut index = OnlineIndex::from_strings(strings.iter(), 2);
         index.remove(5);
-        let a = save_to_temp(&index, "interned-det-a");
-        let b = save_to_temp(&index, "interned-det-b");
-        assert_eq!(std::fs::read(&a.0).unwrap(), std::fs::read(&b.0).unwrap());
+        let owned = std::fs::read(&save_to_temp(&index, "interned-det-owned").0).unwrap();
+        let file = save_interned(&index, "interned-det");
+        for loaded in [
+            OnlineIndex::load(&file.0).unwrap(),
+            OnlineIndex::load_direct(&file.0).unwrap(),
+        ] {
+            let a = save_to_temp(&loaded, "interned-det-a");
+            let b = save_to_temp(&loaded, "interned-det-b");
+            assert_eq!(std::fs::read(&a.0).unwrap(), owned);
+            assert_eq!(std::fs::read(&b.0).unwrap(), owned);
+        }
 
-        // A different insertion history with the same final content
-        // serializes to the same bytes: the dictionary is renumbered by
-        // byte order and dead ids are compacted on save.
-        let mut churned = OnlineIndex::builder(2)
-            .key_backend(KeyBackend::Interned)
-            .build();
-        churned.insert(b"a temporary resident string");
-        for s in &strings {
-            churned.insert(s);
-        }
-        assert!(churned.remove(0), "drop the temporary string");
-        // Rebuild id alignment: ids shift by one, so compare via a fresh
-        // save of an identically-shaped index instead.
-        let mut same_history = OnlineIndex::builder(2)
-            .key_backend(KeyBackend::Interned)
-            .build();
-        same_history.insert(b"a temporary resident string");
-        for s in &strings {
-            same_history.insert(s);
-        }
-        assert!(same_history.remove(0));
-        let c = save_to_temp(&churned, "interned-det-c");
-        let d = save_to_temp(&same_history, "interned-det-d");
-        assert_eq!(std::fs::read(&c.0).unwrap(), std::fs::read(&d.0).unwrap());
+        // Two indices with one final content but different histories
+        // (one held, then dropped, a string whose segments nothing else
+        // uses) re-save identically after an interned round trip.
+        let history = |temporary: &[u8]| {
+            let mut index = OnlineIndex::new(2);
+            index.insert(temporary);
+            for s in &strings {
+                index.insert(s);
+            }
+            assert!(index.remove(0), "drop the temporary string");
+            let file = save_interned(&index, "interned-det-history");
+            let loaded = OnlineIndex::load(&file.0).unwrap();
+            std::fs::read(&save_to_temp(&loaded, "interned-det-resave").0).unwrap()
+        };
+        assert_eq!(
+            history(b"a temporary resident string"),
+            history(b"another temporary resident")
+        );
     }
 
     #[test]
     fn empty_interned_index_round_trips() {
-        let index = OnlineIndex::builder(2)
-            .key_backend(KeyBackend::Interned)
-            .build();
-        let file = save_to_temp(&index, "interned-empty");
+        let file = save_interned(&OnlineIndex::new(2), "interned-empty");
         let loaded = OnlineIndex::load(&file.0).unwrap();
         assert!(loaded.is_empty());
-        assert_eq!(loaded.key_backend(), KeyBackend::Interned);
+        assert_eq!(loaded.key_backend(), KeyBackend::Owned);
         assert!(loaded.matches(b"anything", 2).is_empty());
     }
 
-    fn interned_snapshot_bytes() -> Vec<u8> {
+    /// A golden v3 snapshot written by the interned backend before its
+    /// retirement: the five-string collection of the v1/v2 fixtures, id 2
+    /// removed. It must load through both load paths, answer
+    /// byte-identically to an owned build of the same strings, survive a
+    /// first mutation, and re-save as exactly that owned build's file.
+    #[test]
+    fn v3_interned_snapshots_still_load() {
+        let bytes = include_bytes!("data/v3-interned.snap");
+        assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "fixture is v3");
         let strings = ["pass-join", "pass-joins", "snapshot", "ab", ""];
-        let mut index = OnlineIndex::builder(2)
-            .key_backend(KeyBackend::Interned)
-            .build_from(strings.iter().map(|s| s.as_bytes()));
-        index.remove(2);
-        let file = save_to_temp(&index, "interned-corruption-base");
-        std::fs::read(&file.0).unwrap()
+        let mut fresh = OnlineIndex::from_strings(strings.iter().map(|s| s.as_bytes()), 2);
+        fresh.remove(2);
+        // The transcoding helper the other tests use reproduces the
+        // retired writer byte for byte.
+        assert_eq!(
+            std::fs::read(&save_interned(&fresh, "v3-golden-transcode").0).unwrap(),
+            bytes
+        );
+        let owned = std::fs::read(&save_to_temp(&fresh, "v3-golden-owned").0).unwrap();
+
+        let file = TempFile(temp_snapshot_path("v3-golden"));
+        std::fs::write(&file.0, bytes).unwrap();
+        let queries: Vec<Vec<u8>> = strings
+            .iter()
+            .map(|s| s.as_bytes().to_vec())
+            .chain([b"pass".to_vec()])
+            .collect();
+        for mut loaded in [
+            OnlineIndex::load(&file.0).expect("rebuild load"),
+            OnlineIndex::load_direct(&file.0).expect("direct load"),
+        ] {
+            assert_equivalent(&fresh, &loaded, &queries);
+            assert_eq!(loaded.get(2), None, "tombstone round-trips");
+            let resave = save_to_temp(&loaded, "v3-golden-resave");
+            assert_eq!(
+                std::fs::read(&resave.0).unwrap(),
+                owned,
+                "re-saves as owned"
+            );
+
+            let mut twin = OnlineIndex::from_strings(strings.iter().map(|s| s.as_bytes()), 2);
+            twin.remove(2);
+            assert_eq!(loaded.insert(b"pass-jion"), twin.insert(b"pass-jion"));
+            assert!(loaded.remove(0) && twin.remove(0));
+            assert_eq!(loaded.key_backend(), KeyBackend::Owned);
+            assert_equivalent(&twin, &loaded, &queries);
+        }
+    }
+
+    fn interned_snapshot_bytes() -> Vec<u8> {
+        include_bytes!("data/v3-interned.snap").to_vec()
     }
 
     #[test]
@@ -713,13 +796,20 @@ mod interned_backend {
     /// structural checks must reject what framing cannot.
     mod inconsistent_producer {
         use super::*;
-        use passjoin::InternedSegmentIndex;
+        use passjoin::OwnedSegmentIndex;
         use passjoin_persist::{segmap, SnapshotWriter};
+
+        /// `segments`' postings in the interned section layout.
+        fn interned(segments: &OwnedSegmentIndex) -> Vec<u8> {
+            segmap::encode_interned_with(segments.scheme(), segments.tau(), |f| {
+                segments.visit_postings(f)
+            })
+        }
 
         /// META + SPANS for one live string `"abcd"` (id 0) and one
         /// tombstone (id 1) at τ_max = 1, backend code 1 (interned),
-        /// paired with the given interned segment index.
-        fn craft(segments: &InternedSegmentIndex, tag: &str) -> Result<OnlineIndex, PersistError> {
+        /// paired with the given postings in the interned layout.
+        fn craft(segments: &OwnedSegmentIndex, tag: &str) -> Result<OnlineIndex, PersistError> {
             let mut meta = Vec::new();
             for v in [1u64, 0, 2, 1, 4, segments.entries(), 1] {
                 meta.extend_from_slice(&v.to_le_bytes());
@@ -735,7 +825,7 @@ mod interned_backend {
                 .section(1, meta)
                 .section(2, spans)
                 .section(3, b"abcd".to_vec())
-                .section(5, segmap::encode_interned(segments));
+                .section(5, interned(segments));
             let file = TempFile(temp_snapshot_path(tag));
             writer.save(&file.0)?;
             OnlineIndex::load(&file.0)
@@ -743,17 +833,17 @@ mod interned_backend {
 
         #[test]
         fn consistent_parts_load() {
-            let mut segments = InternedSegmentIndex::new(0, 1);
-            segments.insert(b"abcd", 0);
+            let mut segments = OwnedSegmentIndex::new(0, 1);
+            segments.insert_owned(b"abcd", 0);
             let index = craft(&segments, "interned-crafted-ok").expect("consistent parts load");
-            assert_eq!(index.key_backend(), KeyBackend::Interned);
+            assert_eq!(index.key_backend(), KeyBackend::Owned);
             assert_eq!(index.matches(b"abcd", 1), vec![(0, 0)]);
         }
 
         #[test]
         fn rejects_postings_referencing_a_tombstone() {
-            let mut segments = InternedSegmentIndex::new(0, 1);
-            segments.insert(b"abcd", 1);
+            let mut segments = OwnedSegmentIndex::new(0, 1);
+            segments.insert_owned(b"abcd", 1);
             assert!(matches!(
                 craft(&segments, "interned-crafted-tombstone"),
                 Err(PersistError::Corrupt { .. })
@@ -762,8 +852,8 @@ mod interned_backend {
 
         #[test]
         fn rejects_postings_with_mismatched_length() {
-            let mut segments = InternedSegmentIndex::new(0, 1);
-            segments.insert(b"abcde", 0);
+            let mut segments = OwnedSegmentIndex::new(0, 1);
+            segments.insert_owned(b"abcde", 0);
             assert!(matches!(
                 craft(&segments, "interned-crafted-length"),
                 Err(PersistError::Corrupt { .. })
@@ -783,7 +873,7 @@ mod interned_backend {
             spans.extend_from_slice(&4u32.to_le_bytes());
             spans.extend_from_slice(&u64::MAX.to_le_bytes());
             spans.extend_from_slice(&0u32.to_le_bytes());
-            let mut owned = passjoin::OwnedSegmentIndex::new(0, 1);
+            let mut owned = OwnedSegmentIndex::new(0, 1);
             owned.insert_owned(b"abcd", 0);
             let mut writer = SnapshotWriter::new();
             writer
@@ -805,13 +895,13 @@ mod interned_backend {
             for v in [1u64, 0, 0, 0, 0, 0, 7] {
                 meta.extend_from_slice(&v.to_le_bytes());
             }
-            let segments = InternedSegmentIndex::new(0, 1);
+            let segments = OwnedSegmentIndex::new(0, 1);
             let mut writer = SnapshotWriter::new();
             writer
                 .section(1, meta)
                 .section(2, Vec::new())
                 .section(3, Vec::new())
-                .section(5, segmap::encode_interned(&segments));
+                .section(5, interned(&segments));
             let file = TempFile(temp_snapshot_path("interned-crafted-backend-code"));
             writer.save(&file.0).unwrap();
             assert!(matches!(
@@ -868,10 +958,20 @@ mod direct_backend {
     use super::*;
     use passjoin_online::KeyBackend;
 
-    fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineIndex {
-        OnlineIndex::builder(tau_max)
-            .key_backend(backend)
-            .build_from(strings.iter())
+    /// The section layouts a snapshot's hash-map postings come in: the
+    /// owned section 4 every save writes, or the interned section 5 of
+    /// files from the retired interned backend.
+    #[derive(Debug, Clone, Copy)]
+    enum Origin {
+        Owned,
+        Interned,
+    }
+
+    fn save_as(index: &OnlineIndex, origin: Origin, tag: &str) -> TempFile {
+        match origin {
+            Origin::Owned => save_to_temp(index, tag),
+            Origin::Interned => save_interned(index, tag),
+        }
     }
 
     proptest! {
@@ -883,18 +983,18 @@ mod direct_backend {
             tau_max in 1usize..5,
             seed in proptest::arbitrary::any::<u64>(),
         ) {
-            let origin = if seed % 2 == 0 { KeyBackend::Interned } else { KeyBackend::Owned };
-            let mut index = build(&strings, tau_max, origin);
+            let origin = if seed % 2 == 0 { Origin::Interned } else { Origin::Owned };
+            let mut index = OnlineIndex::from_strings(strings.iter(), tau_max);
             let mut rng = StdRng::seed_from_u64(seed);
             for id in 0..strings.len() as u32 {
                 if rng.gen_bool(0.3) {
                     index.remove(id);
                 }
             }
-            let file = save_to_temp(&index, "direct-diff");
+            let file = save_as(&index, origin, "direct-diff");
             let rebuilt = OnlineIndex::load(&file.0).expect("rebuild load must succeed");
             let direct = OnlineIndex::load_direct(&file.0).expect("direct load must succeed");
-            prop_assert_eq!(rebuilt.key_backend(), origin);
+            prop_assert_eq!(rebuilt.key_backend(), KeyBackend::Owned);
             prop_assert_eq!(direct.key_backend(), KeyBackend::Direct);
             let mut queries = strings.clone();
             queries.push(b"abab".to_vec());
@@ -905,30 +1005,32 @@ mod direct_backend {
 
     #[test]
     fn direct_resave_is_byte_identical_for_both_origins() {
-        // A direct-loaded index re-saves through its recorded origin: the
-        // file it writes must equal the file it was loaded from, byte for
-        // byte — the strongest form of "nothing was lost by not rebuilding".
-        for origin in [KeyBackend::Owned, KeyBackend::Interned] {
+        // A direct-loaded index re-saves exactly the owned file of its
+        // content, byte for byte — the file it was loaded from when that
+        // was owned — the strongest form of "nothing was lost by not
+        // rebuilding".
+        for origin in [Origin::Owned, Origin::Interned] {
             let strings = planted_corpus(120, 17, 2);
-            let mut index = build(&strings, 2, origin);
+            let mut index = OnlineIndex::from_strings(strings.iter(), 2);
             index.remove(9);
-            let file = save_to_temp(&index, "direct-resave");
+            let owned = save_to_temp(&index, "direct-resave-owned");
+            let file = save_as(&index, origin, "direct-resave");
             let direct = OnlineIndex::load_direct(&file.0).unwrap();
             let resave = save_to_temp(&direct, "direct-resave-out");
             assert_eq!(
-                std::fs::read(&file.0).unwrap(),
+                std::fs::read(&owned.0).unwrap(),
                 std::fs::read(&resave.0).unwrap(),
-                "direct re-save must be byte-identical ({} origin)",
-                origin.name()
+                "direct re-save must be byte-identical ({origin:?} origin)"
             );
         }
     }
 
     #[test]
     fn first_mutation_promotes_back_to_the_origin_backend() {
-        for origin in [KeyBackend::Owned, KeyBackend::Interned] {
+        for origin in [Origin::Owned, Origin::Interned] {
             let strings = planted_corpus(150, 23, 2);
-            let file = save_to_temp(&build(&strings, 2, origin), "direct-promote");
+            let index = OnlineIndex::from_strings(strings.iter(), 2);
+            let file = save_as(&index, origin, "direct-promote");
             let mut direct = OnlineIndex::load_direct(&file.0).unwrap();
             let mut twin = OnlineIndex::load(&file.0).unwrap();
             assert_eq!(direct.key_backend(), KeyBackend::Direct);
@@ -937,15 +1039,16 @@ mod direct_backend {
             assert_eq!(direct.matches(&strings[0], 2), twin.matches(&strings[0], 2));
             assert_eq!(direct.key_backend(), KeyBackend::Direct);
 
-            // The first mutation rebuilds the origin backend; afterwards
-            // the two indices stay in lockstep through further churn.
+            // The first mutation rebuilds the owned map, whichever section
+            // the file carried; afterwards the two indices stay in
+            // lockstep through further churn.
             for id in (0..strings.len() as u32).step_by(4) {
                 assert_eq!(direct.remove(id), twin.remove(id));
             }
             assert_eq!(
                 direct.key_backend(),
-                origin,
-                "promotion restores the origin"
+                KeyBackend::Owned,
+                "promotion rebuilds the owned map ({origin:?} origin)"
             );
             assert_eq!(
                 direct.insert(b"inserted after promotion"),
@@ -965,12 +1068,6 @@ mod direct_backend {
         let loaded = OnlineIndex::load_direct(&file.0).unwrap();
         assert!(loaded.is_empty());
         assert!(loaded.matches(b"anything", 2).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "load-only")]
-    fn builder_rejects_the_direct_backend() {
-        let _ = OnlineIndex::builder(2).key_backend(KeyBackend::Direct);
     }
 
     #[test]
@@ -1152,28 +1249,23 @@ mod direct_backend {
         }
     }
 
-    /// Golden v2 snapshots written by the pre-appendix build: they must
-    /// keep loading on the rebuild path with their recorded backend, and
-    /// the direct path must report the appendix missing — never silently
-    /// rebuild.
+    /// Golden v2 snapshots written by the pre-appendix build, with owned
+    /// and interned keys: they must keep loading on the rebuild path (both
+    /// as owned indices), and the direct path must report the appendix
+    /// missing — never silently rebuild.
     #[test]
     fn v2_snapshots_still_load_and_direct_reports_missing() {
-        for (bytes, backend) in [
-            (&include_bytes!("data/v2-owned.snap")[..], KeyBackend::Owned),
-            (
-                &include_bytes!("data/v2-interned.snap")[..],
-                KeyBackend::Interned,
-            ),
+        for bytes in [
+            &include_bytes!("data/v2-owned.snap")[..],
+            &include_bytes!("data/v2-interned.snap")[..],
         ] {
             assert_eq!(&bytes[8..12], &2u32.to_le_bytes(), "fixture is v2");
             let loaded = load_bytes(bytes, "v2-golden").expect("v2 snapshot must load");
-            assert_eq!(loaded.key_backend(), backend);
+            assert_eq!(loaded.key_backend(), KeyBackend::Owned);
 
             // The fixtures' collection: five strings, id 2 removed.
             let strings = ["pass-join", "pass-joins", "snapshot", "ab", ""];
-            let mut fresh = OnlineIndex::builder(2)
-                .key_backend(backend)
-                .build_from(strings.iter().map(|s| s.as_bytes()));
+            let mut fresh = OnlineIndex::from_strings(strings.iter().map(|s| s.as_bytes()), 2);
             fresh.remove(2);
             assert_eq!(loaded.len(), fresh.len());
             assert_eq!(loaded.get(2), None, "tombstone round-trips");

@@ -1,32 +1,28 @@
-//! Differential harness for the typed query API: the
-//! [`SearchRequest`]/[`Queryable`] engine must be **byte-identical** to
-//! every legacy query surface it replaced — `query`, `query_with`,
-//! `query_batch`, `par_query_batch`, `query_cached`, and the `Snapshot`
-//! variants — on both key backends, for every τ ≤ τ_max, on random and
-//! planted corpora. On top of the legacy contract, the new shapes must be
-//! consistent with each other: a mixed-τ batch equals a per-query loop, a
-//! top-k result equals the truncated `(distance, id)`-sorted full result,
-//! and a count equals the full result's length — with the early exits
-//! those shapes promise observable in the per-request statistics.
-//!
-//! This is the designated compatibility suite: it exercises the
-//! deprecated wrappers on purpose.
-#![allow(deprecated)]
+//! Differential harness for the typed query API: every surface of the
+//! [`SearchRequest`]/[`Queryable`] engine — single requests, uniform and
+//! mixed batches, parallel batches, snapshots, and the `matches`
+//! convenience — must agree **byte for byte**, on both segment stores, for
+//! every τ ≤ τ_max, on random and planted corpora. The shapes must be
+//! consistent with each other too: a mixed-τ batch equals a per-query
+//! loop, a top-k result equals the truncated `(distance, id)`-sorted full
+//! result, and a count equals the full result's length — with the early
+//! exits those shapes promise observable in the per-request statistics.
 
-use std::sync::Arc;
+mod common;
 
+use common::reopen_direct;
 use passjoin_online::{
-    CacheOutcome, CachePolicy, KeyBackend, Match, OnlineIndex, Parallelism, QueryOutcome,
-    Queryable, SearchRequest,
+    CacheOutcome, KeyBackend, Match, OnlineIndex, Parallelism, Queryable, SearchRequest,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineIndex {
-    OnlineIndex::builder(tau_max)
-        .key_backend(backend)
-        .build_from(strings.iter())
+/// The collection on both segment stores: built, and reopened direct.
+fn stores(strings: &[Vec<u8>], tau_max: usize) -> [OnlineIndex; 2] {
+    let built = OnlineIndex::from_strings(strings.iter(), tau_max);
+    let direct = reopen_direct(&built);
+    [built, direct]
 }
 
 /// The k smallest matches of `full` by `(distance, id)` — the top-k
@@ -37,45 +33,42 @@ fn truncate_by_distance(full: &[Match], k: usize) -> Vec<Match> {
     scored.into_iter().take(k).map(|(d, id)| (id, d)).collect()
 }
 
-/// Every legacy surface against the typed path, one query at a time.
+/// Every single-request surface against the plain typed search.
 fn assert_single_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
     let snapshot = index.snapshot();
     for tau in 0..=index.tau_max() {
         for q in queries {
-            let legacy = index.query(q, tau);
             let outcome = index.search(&SearchRequest::new(q.as_slice(), tau));
-            assert_eq!(*outcome.matches, legacy, "search vs query at tau={tau}");
-            assert_eq!(outcome.count, legacy.len());
+            assert_eq!(outcome.count, outcome.matches.len());
             assert_eq!(outcome.cache, CacheOutcome::Bypass);
-            assert_eq!(index.matches(q, tau), legacy, "matches vs query");
-
-            let mut scratch = index.scratch();
-            let mut via_with = vec![(u32::MAX, 0)]; // must append, not clear
-            index.query_with(q, tau, &mut scratch, &mut via_with);
-            assert_eq!(via_with[0], (u32::MAX, 0));
-            assert_eq!(&via_with[1..], legacy.as_slice(), "query_with tail");
-
-            assert_eq!(snapshot.query(q, tau), legacy, "snapshot::query");
+            assert!(
+                outcome.matches.windows(2).all(|w| w[0].0 < w[1].0),
+                "plain results ascend by id"
+            );
+            assert_eq!(index.matches(q, tau), *outcome.matches, "matches vs search");
             assert_eq!(
-                *snapshot
-                    .search(&SearchRequest::new(q.as_slice(), tau))
-                    .matches,
-                legacy,
+                *snapshot.search(&SearchRequest::borrowed(q, tau)).matches,
+                *outcome.matches,
                 "snapshot::search"
+            );
+            assert_eq!(
+                snapshot.matches(q, tau),
+                *outcome.matches,
+                "snapshot::matches"
             );
         }
     }
 }
 
-/// Every legacy batch surface against the typed batch, at every τ.
+/// Every batch surface against a loop of single searches, at every τ.
 fn assert_batch_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
     let snapshot = index.snapshot();
     for tau in 0..=index.tau_max() {
-        let legacy = index.query_batch(queries, tau);
+        let singles: Vec<Vec<Match>> = queries.iter().map(|q| index.matches(q, tau)).collect();
         let reqs = SearchRequest::uniform(queries, tau);
         assert_eq!(
             index.search_batch(&reqs).into_matches(),
-            legacy,
+            singles,
             "uniform batch at tau={tau}"
         );
         let par_reqs: Vec<SearchRequest> = queries
@@ -86,12 +79,12 @@ fn assert_batch_paths_agree(index: &OnlineIndex, queries: &[Vec<u8>]) {
             .collect();
         assert_eq!(
             index.search_batch(&par_reqs).into_matches(),
-            index.par_query_batch(queries, tau, 3),
+            singles,
             "parallel batch at tau={tau}"
         );
         assert_eq!(
             snapshot.search_batch(&reqs).into_matches(),
-            snapshot.query_batch(queries, tau),
+            singles,
             "snapshot batch at tau={tau}"
         );
     }
@@ -150,15 +143,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn request_path_equals_legacy_on_both_backends(
+    fn request_paths_agree_on_both_stores(
         strings in dense_corpus(),
         extra in off_corpus_queries(),
         tau_max in 1usize..4,
     ) {
         let mut queries = strings.clone();
         queries.extend(extra);
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            let index = build(&strings, tau_max, backend);
+        for index in stores(&strings, tau_max) {
             assert_single_paths_agree(&index, &queries);
             assert_batch_paths_agree(&index, &queries);
         }
@@ -173,35 +165,8 @@ proptest! {
     ) {
         let mut queries = strings.clone();
         queries.extend(extra);
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            let index = build(&strings, tau_max, backend);
+        for index in stores(&strings, tau_max) {
             assert_shapes_agree(&index, &queries, seed);
-        }
-    }
-
-    #[test]
-    fn cached_request_equals_legacy_query_cached(
-        strings in dense_corpus(),
-        tau_max in 1usize..4,
-    ) {
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            // Two indices with identical contents: one exercises the
-            // legacy wrapper, the other the typed path — their cache
-            // behaviour and results must line up query-for-query.
-            let legacy_ix = build(&strings, tau_max, backend);
-            let typed_ix = build(&strings, tau_max, backend);
-            for round in 0..2 {
-                for q in &strings {
-                    let legacy: Arc<Vec<Match>> = legacy_ix.query_cached(q, tau_max);
-                    let typed: QueryOutcome = typed_ix.search(
-                        &SearchRequest::new(q.as_slice(), tau_max).with_cache(CachePolicy::Use),
-                    );
-                    prop_assert_eq!(&*legacy, &*typed.matches, "round {}", round);
-                }
-            }
-            let (l, t) = (legacy_ix.cache_stats(), typed_ix.cache_stats());
-            prop_assert_eq!(l.hits, t.hits, "hit counters must match");
-            prop_assert_eq!(l.misses, t.misses);
         }
     }
 }
@@ -227,8 +192,7 @@ fn heavy_corpus(n: usize, dups: usize, seed: u64) -> Vec<Vec<u8>> {
 fn planted_corpus_agrees_across_all_paths() {
     let strings = heavy_corpus(150, 1, 42);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(4).cloned().collect();
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-        let index = build(&strings, 3, backend);
+    for index in stores(&strings, 3) {
         assert_single_paths_agree(&index, &queries);
         assert_batch_paths_agree(&index, &queries);
         assert_shapes_agree(&index, &queries, 7);
@@ -310,45 +274,6 @@ fn queryable_is_object_safe_over_both_sources() {
         assert_eq!(batch.outcomes.len(), 1);
         assert_eq!(batch.totals().matches, 2);
     }
-}
-
-#[test]
-fn deprecated_constructors_equal_builder() {
-    let strings: Vec<&[u8]> = vec![b"builder", b"bulider", b"unrelated"];
-    let via_builder = OnlineIndex::builder(2)
-        .key_backend(KeyBackend::Interned)
-        .build_from(strings.iter())
-        .snapshot();
-    let via_deprecated =
-        OnlineIndex::from_strings_with(strings.iter(), 2, KeyBackend::Interned).snapshot();
-    assert_eq!(via_builder.key_backend(), via_deprecated.key_backend());
-    for q in &strings {
-        assert_eq!(via_builder.matches(q, 2), via_deprecated.matches(q, 2));
-    }
-
-    let mut empty = OnlineIndex::with_key_backend(1, KeyBackend::Interned);
-    assert_eq!(empty.key_backend(), KeyBackend::Interned);
-    empty.insert(b"still works");
-    assert_eq!(empty.matches(b"still works", 0).len(), 1);
-
-    // with_cache_capacity(0) still disables caching through the wrapper.
-    let mut uncached = OnlineIndex::new(1).with_cache_capacity(0);
-    uncached.insert(b"abc");
-    let req = SearchRequest::new(b"abc", 1).with_cache(CachePolicy::Use);
-    assert_eq!(uncached.search(&req).cache, CacheOutcome::Miss);
-    assert_eq!(uncached.search(&req).cache, CacheOutcome::Miss);
-    assert_eq!(uncached.cache_stats().hits, 0);
-}
-
-#[test]
-fn legacy_cached_arc_identity_is_preserved() {
-    // The legacy wrapper's contract includes *sharing* (`Arc` identity) on
-    // repeat hits — pinned so the wrapper stays a true drop-in.
-    let mut index = OnlineIndex::new(1);
-    index.insert(b"shared result");
-    let first = index.query_cached(b"shared result", 1);
-    let again = index.query_cached(b"shared result", 1);
-    assert!(Arc::ptr_eq(&first, &again), "hits must share the result");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Differential suite for the sharded router: a [`ShardedIndex`] must be
 //! observationally identical to one [`OnlineIndex`] over the same corpus.
 //!
-//! Pinned here, on both key backends, for shard counts {1, 2, 7} and both
-//! partitioning policies:
+//! Pinned here, for shard counts {1, 2, 7} and both partitioning policies,
+//! against a single index on both segment stores (built, and reopened with
+//! `load_direct`):
 //!
 //! 1. **Byte-identical answers** — for every request shape (full, top-k,
 //!    count-only, streaming) and every `τ ≤ τ_max`, the router's matches,
@@ -21,20 +22,23 @@
 //!    `Complete` empty outcomes, including on the streaming path (where
 //!    a saturated or dropped caller must abort, not deadlock).
 //! 5. **Persistence round-trips** — `save_sharded`/`load_sharded`
-//!    restores a router that answers byte-identically.
+//!    restores a router that answers byte-identically, including routers
+//!    saved by the retired interned backend.
+
+mod common;
 
 use std::sync::Arc;
 
 use passjoin_online::{
-    BatchBudget, CollectSink, CountSink, ExecBudget, KeyBackend, Match, OnlineIndex, QueryOutcome,
-    Queryable, SearchRequest, ShardBy, ShardedIndex,
+    BatchBudget, CollectSink, CountSink, ExecBudget, KeyBackend, Match, OnlineIndex, PersistError,
+    QueryOutcome, Queryable, SearchRequest, ShardBy, ShardedIndex,
 };
+use passjoin_persist::{SnapshotFile, SnapshotWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const TAU_MAX: usize = 2;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-const BACKENDS: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Interned];
 const POLICIES: [ShardBy; 2] = [ShardBy::Len, ShardBy::Hash];
 
 fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -47,22 +51,22 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn single(strings: &[Vec<u8>], backend: KeyBackend) -> OnlineIndex {
-    OnlineIndex::builder(TAU_MAX)
-        .key_backend(backend)
-        .build_from(strings.iter())
+fn single(strings: &[Vec<u8>]) -> OnlineIndex {
+    OnlineIndex::from_strings(strings.iter(), TAU_MAX)
 }
 
-fn sharded(
-    strings: &[Vec<u8>],
-    backend: KeyBackend,
-    shards: usize,
-    shard_by: ShardBy,
-) -> ShardedIndex {
+/// The single-index reference on both segment stores: built, and reopened
+/// with `load_direct`.
+fn single_stores(strings: &[Vec<u8>]) -> [OnlineIndex; 2] {
+    let built = single(strings);
+    let direct = common::reopen_direct(&built);
+    [built, direct]
+}
+
+fn sharded(strings: &[Vec<u8>], shards: usize, shard_by: ShardBy) -> ShardedIndex {
     ShardedIndex::builder(TAU_MAX)
         .shards(shards)
         .shard_by(shard_by)
-        .key_backend(backend)
         .build_from(strings.iter())
 }
 
@@ -163,12 +167,12 @@ fn assert_router_equals_single(
 fn router_equals_single_index_everywhere() {
     let strings = corpus(300, 41);
     let queries = corpus(40, 42);
-    for backend in BACKENDS {
-        let index = single(&strings, backend);
+    for index in single_stores(&strings) {
+        let store = index.key_backend();
         for shards in SHARD_COUNTS {
             for policy in POLICIES {
-                let router = sharded(&strings, backend, shards, policy);
-                let label = format!("{backend:?}/{shards} shards/{policy:?}");
+                let router = sharded(&strings, shards, policy);
+                let label = format!("{store:?}/{shards} shards/{policy:?}");
                 assert_router_equals_single(&index, &router, &queries, &label);
             }
         }
@@ -183,8 +187,8 @@ fn mutations_keep_router_and_single_in_lockstep() {
     let extra = corpus(40, 52);
     let queries = corpus(20, 53);
     for shards in SHARD_COUNTS {
-        let mut index = single(&strings, KeyBackend::Owned);
-        let mut router = sharded(&strings, KeyBackend::Owned, shards, ShardBy::Len);
+        let mut index = single(&strings);
+        let mut router = sharded(&strings, shards, ShardBy::Len);
         for (i, s) in extra.iter().enumerate() {
             let (a, b) = (index.insert(s), router.insert(s));
             assert_eq!(a, b, "dense ids stay aligned");
@@ -209,9 +213,9 @@ fn mutations_keep_router_and_single_in_lockstep() {
 fn per_request_budgets_hold_across_shards() {
     let strings = corpus(300, 61);
     let queries = corpus(15, 62);
-    let index = single(&strings, KeyBackend::Owned);
+    let index = single(&strings);
     for shards in SHARD_COUNTS {
-        let router = sharded(&strings, KeyBackend::Owned, shards, ShardBy::Len);
+        let router = sharded(&strings, shards, ShardBy::Len);
         for q in &queries {
             let full = index.search(&SearchRequest::borrowed(q, TAU_MAX));
             let total = full.stats.verifications + full.stats.short_checked;
@@ -245,7 +249,7 @@ fn per_request_budgets_hold_across_shards() {
 fn batch_pool_totals_stay_capped_across_shards() {
     let strings = corpus(300, 63);
     let queries = corpus(30, 64);
-    let index = single(&strings, KeyBackend::Owned);
+    let index = single(&strings);
     let unlimited: Vec<SearchRequest> = queries
         .iter()
         .map(|q| SearchRequest::borrowed(q, TAU_MAX))
@@ -259,7 +263,7 @@ fn batch_pool_totals_stay_capped_across_shards() {
     assert!(total > 8, "corpus generates real work");
 
     for shards in SHARD_COUNTS {
-        let router = sharded(&strings, KeyBackend::Owned, shards, ShardBy::Len);
+        let router = sharded(&strings, shards, ShardBy::Len);
         let cap = total / 2;
         let pool = BatchBudget::new(ExecBudget::new().with_max_verifications(cap));
         let reqs: Vec<SearchRequest> = queries
@@ -322,8 +326,8 @@ fn empty_shards_and_empty_bands_degrade_gracefully() {
     // Every string has length 7: under 7-way length banding, one band
     // holds the whole corpus and six are empty.
     let strings: Vec<Vec<u8>> = (0..50).map(|i| format!("str{i:04}").into_bytes()).collect();
-    let index = single(&strings, KeyBackend::Owned);
-    let router = sharded(&strings, KeyBackend::Owned, 7, ShardBy::Len);
+    let index = single(&strings);
+    let router = sharded(&strings, 7, ShardBy::Len);
     assert_eq!(router.len(), index.len());
 
     // In-band queries agree; far-out-of-band queries are empty/Complete.
@@ -356,7 +360,7 @@ fn empty_shards_and_empty_bands_degrade_gracefully() {
 #[test]
 fn saturated_stream_callers_abort_the_fanout() {
     let strings = corpus(400, 71);
-    let router = sharded(&strings, KeyBackend::Owned, 7, ShardBy::Len);
+    let router = sharded(&strings, 7, ShardBy::Len);
     // Find a query with plenty of matches.
     let q = strings
         .iter()
@@ -381,7 +385,7 @@ fn saturated_stream_callers_abort_the_fanout() {
 fn dyn_shards_from_snapshots_agree() {
     let strings = corpus(150, 81);
     let queries = corpus(20, 82);
-    let index = single(&strings, KeyBackend::Owned);
+    let index = single(&strings);
 
     // Partition by hand: even ids left, odd ids right.
     let mut left = OnlineIndex::builder(TAU_MAX).build();
@@ -417,34 +421,44 @@ fn sharded_persistence_round_trips() {
     std::fs::create_dir_all(&dir).unwrap();
     let strings = corpus(200, 91);
     let queries = corpus(20, 92);
-    for backend in BACKENDS {
-        for policy in POLICIES {
-            let mut router = sharded(&strings, backend, 4, policy);
-            router.remove(3);
-            let path = dir.join(format!("router-{backend:?}-{policy:?}.pj"));
-            let bytes = router.save_sharded(&path).unwrap();
-            assert!(bytes > 0);
+    let mut reference = single(&strings);
+    reference.remove(3);
+    let references = [common::reopen_direct(&reference), reference];
+    for policy in POLICIES {
+        let mut router = sharded(&strings, 4, policy);
+        router.remove(3);
+        let path = dir.join(format!("router-{policy:?}.pj"));
+        let bytes = router.save_sharded(&path).unwrap();
+        assert!(bytes > 0);
 
-            let mut restored = ShardedIndex::load_sharded(&path).unwrap();
-            assert_eq!(restored.shard_count(), 4);
-            assert_eq!(restored.shard_by(), policy);
-            assert_eq!(restored.len(), router.len());
-            assert_eq!(restored.epoch(), router.epoch());
-            for q in &queries {
+        let mut restored = ShardedIndex::load_sharded(&path).unwrap();
+        assert_eq!(restored.shard_count(), 4);
+        assert_eq!(restored.shard_by(), policy);
+        assert_eq!(restored.len(), router.len());
+        assert_eq!(restored.epoch(), router.epoch());
+        for q in &queries {
+            let expected = router.matches(q, TAU_MAX);
+            assert_eq!(
+                restored.matches(q, TAU_MAX),
+                expected,
+                "{policy:?} round-trip"
+            );
+            for reference in &references {
                 assert_eq!(
-                    restored.matches(q, TAU_MAX),
-                    router.matches(q, TAU_MAX),
-                    "{backend:?}/{policy:?} round-trip"
+                    reference.matches(q, TAU_MAX),
+                    expected,
+                    "{policy:?} against the {:?} single index",
+                    reference.key_backend()
                 );
             }
-            // The restored router accepts further mutations.
-            let id = restored.insert(b"post-restore insert");
-            assert_eq!(id, router.insert(b"post-restore insert"));
-            assert_eq!(
-                restored.matches(b"post-restore insert", 0),
-                router.matches(b"post-restore insert", 0)
-            );
         }
+        // The restored router accepts further mutations.
+        let id = restored.insert(b"post-restore insert");
+        assert_eq!(id, router.insert(b"post-restore insert"));
+        assert_eq!(
+            restored.matches(b"post-restore insert", 0),
+            router.matches(b"post-restore insert", 0)
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -462,7 +476,6 @@ fn router_metrics_roll_up() {
     let queries = corpus(25, 96);
     let router = ShardedIndex::builder(TAU_MAX)
         .shards(4)
-        .key_backend(KeyBackend::Owned)
         .observability(Arc::clone(&registry))
         .build_from(strings.iter());
 
@@ -497,4 +510,112 @@ fn router_metrics_roll_up() {
 fn router_rejects_tau_above_ceiling() {
     let router = ShardedIndex::builder(1).shards(2).build_from(["a", "b"]);
     router.search(&SearchRequest::new(b"a", 2));
+}
+
+/// The META backend code of a router manifest (its fourth field).
+fn manifest_backend_code(path: &std::path::Path) -> u64 {
+    let file = SnapshotFile::open(path).unwrap();
+    let meta = file.section(16).unwrap();
+    u64::from_le_bytes(meta[24..32].try_into().unwrap())
+}
+
+/// A golden two-shard router written by the retired interned backend:
+/// manifest code 1 over shard snapshots carrying the interned section.
+/// It must keep loading, answer byte-identically to an owned build of the
+/// same strings, survive a first mutation, and re-save as owned — while
+/// manifests with unknown backend codes are still rejected.
+#[test]
+fn interned_router_snapshots_still_load() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let golden = golden.join("v3-interned-router.snap");
+    assert_eq!(manifest_backend_code(&golden), 1, "fixture is interned");
+    // The fixture's collection: ten strings, id 2 removed.
+    let strings: Vec<Vec<u8>> = [
+        "pass-join",
+        "pass-joins",
+        "snapshot",
+        "ab",
+        "",
+        "partition-based",
+        "similarity joins",
+        "vldb",
+        "pvldb",
+        "similarity join",
+    ]
+    .iter()
+    .map(|s| s.as_bytes().to_vec())
+    .collect();
+    let mut fresh = sharded(&strings, 2, ShardBy::Len);
+    fresh.remove(2);
+    let mut single = single(&strings);
+    single.remove(2);
+
+    let mut loaded = ShardedIndex::load_sharded(&golden).expect("interned router must load");
+    assert_eq!(loaded.shard_count(), 2);
+    assert_eq!(loaded.key_backend(), KeyBackend::Owned);
+    assert_eq!(loaded.len(), fresh.len());
+    for i in 0..2 {
+        assert_eq!(loaded.shard_band(i), fresh.shard_band(i));
+    }
+    let mut queries = strings.clone();
+    queries.push(b"pass".to_vec());
+    let agree = |loaded: &ShardedIndex, fresh: &ShardedIndex, single: &OnlineIndex| {
+        for q in &queries {
+            for tau in 0..=TAU_MAX {
+                let req = SearchRequest::borrowed(q, tau);
+                let expected = fresh.search(&req);
+                assert_eq!(loaded.search(&req), expected, "query {q:?} at tau={tau}");
+                assert_eq!(*expected.matches, single.matches(q, tau));
+            }
+        }
+    };
+    agree(&loaded, &fresh, &single);
+
+    // The first mutation lands like it does on the owned build.
+    for router in [&mut loaded, &mut fresh] {
+        assert_eq!(router.insert(b"similarity jion"), 10);
+        assert!(router.remove(6));
+    }
+    assert_eq!(single.insert(b"similarity jion"), 10);
+    assert!(single.remove(6));
+    agree(&loaded, &fresh, &single);
+
+    // Re-saving writes owned manifests and owned shards.
+    let dir = std::env::temp_dir().join(format!("passjoin-router-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let resaved = dir.join("resaved.pj");
+    loaded.save_sharded(&resaved).unwrap();
+    assert_eq!(manifest_backend_code(&resaved), 0);
+    for i in 0..2 {
+        let shard = SnapshotFile::open(&dir.join(format!("resaved.pj.shard{i}"))).unwrap();
+        let meta = shard.section(1).unwrap();
+        assert_eq!(u64::from_le_bytes(meta[48..56].try_into().unwrap()), 0);
+    }
+    agree(
+        &ShardedIndex::load_sharded(&resaved).unwrap(),
+        &fresh,
+        &single,
+    );
+
+    // An unknown backend code in an otherwise valid manifest is rejected.
+    let original = SnapshotFile::open(&golden).unwrap();
+    let mut meta = original.section(16).unwrap().to_vec();
+    meta[24..32].copy_from_slice(&7u64.to_le_bytes());
+    let mut writer = SnapshotWriter::new();
+    writer
+        .section(16, meta)
+        .section(17, original.section(17).unwrap().to_vec())
+        .section(18, original.section(18).unwrap().to_vec());
+    let bogus = dir.join("bogus.pj");
+    writer.save(&bogus).unwrap();
+    for i in 0..2 {
+        let mut shard = golden.as_os_str().to_owned();
+        shard.push(format!(".shard{i}"));
+        std::fs::copy(&shard, dir.join(format!("bogus.pj.shard{i}"))).unwrap();
+    }
+    assert!(matches!(
+        ShardedIndex::load_sharded(&bogus),
+        Err(PersistError::Corrupt { .. })
+    ));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,7 @@
 //! Property suite for the streaming & budgeted query surface.
 //!
-//! Three contracts are pinned here, on both key backends, for every
+//! Three contracts are pinned here, on both segment stores (a built
+//! index, and the same index reopened with `load_direct`), for every
 //! `τ ≤ τ_max`, on random and planted corpora:
 //!
 //! 1. **Streaming ≡ buffered** — collecting `search_streaming`'s
@@ -21,21 +22,24 @@
 //!    answered from a stored full result by sort-truncate/len
 //!    derivation (pinned with cache counters).
 
+mod common;
+
 use std::sync::Arc;
 
 use passjoin_online::{
-    CacheOutcome, CachePolicy, CollectSink, Completion, ExecBudget, KeyBackend, ManualTicks, Match,
-    MatchSink, OnlineIndex, QueryOutcome, Queryable, SearchRequest, SearchResponse, TickSource,
+    CacheOutcome, CachePolicy, CollectSink, Completion, ExecBudget, ManualTicks, Match, MatchSink,
+    OnlineIndex, QueryOutcome, Queryable, SearchRequest, SearchResponse, TickSource,
     TruncationReason,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineIndex {
-    OnlineIndex::builder(tau_max)
-        .key_backend(backend)
-        .build_from(strings.iter())
+/// The collection on both segment stores: built, and reopened direct.
+fn stores(strings: &[Vec<u8>], tau_max: usize) -> [OnlineIndex; 2] {
+    let built = OnlineIndex::from_strings(strings.iter(), tau_max);
+    let direct = common::reopen_direct(&built);
+    [built, direct]
 }
 
 /// Runs one streaming request, returning its emissions and outcome.
@@ -226,8 +230,7 @@ proptest! {
     ) {
         let mut queries = strings.clone();
         queries.extend(extra);
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            let index = build(&strings, tau_max, backend);
+        for index in stores(&strings, tau_max) {
             assert_streaming_equals_buffered(&index, &queries);
             assert_batch_streaming_equals_buffered(&index, &queries, seed);
         }
@@ -241,8 +244,7 @@ proptest! {
     ) {
         let mut queries = strings.clone();
         queries.extend(extra);
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            let index = build(&strings, tau_max, backend);
+        for index in stores(&strings, tau_max) {
             assert_budgets_are_sound(&index, &queries);
         }
     }
@@ -252,8 +254,7 @@ proptest! {
         strings in dense_corpus(),
         tau_max in 1usize..4,
     ) {
-        for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-            let index = build(&strings, tau_max, backend);
+        for index in stores(&strings, tau_max) {
             for q in &strings {
                 let cacheable = SearchRequest::borrowed(q, tau_max).with_cache(CachePolicy::Use);
                 let tripped = index.search(
@@ -303,8 +304,7 @@ fn heavy_corpus(n: usize, dups: usize, seed: u64) -> Vec<Vec<u8>> {
 fn planted_corpus_streams_and_budgets_on_both_backends() {
     let strings = heavy_corpus(120, 1, 11);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(5).cloned().collect();
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-        let index = build(&strings, 2, backend);
+    for index in stores(&strings, 2) {
         assert_streaming_equals_buffered(&index, &queries);
         assert_batch_streaming_equals_buffered(&index, &queries, 23);
         assert_budgets_are_sound(&index, &queries[..8.min(queries.len())]);
@@ -511,8 +511,7 @@ fn batch_budget_caps_total_work_across_the_batch() {
 
     let strings = heavy_corpus(150, 2, 17);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(7).cloned().collect();
-    for backend in [KeyBackend::Owned, KeyBackend::Interned] {
-        let index = build(&strings, 2, backend);
+    for index in stores(&strings, 2) {
         let unlimited: Vec<SearchRequest> = queries
             .iter()
             .map(|q| SearchRequest::borrowed(q, 2))

@@ -44,7 +44,8 @@ pub const MAGIC: [u8; 8] = *b"PASSJSNP";
 ///   postings (section 4).
 /// * **2** — online snapshots record their key backend in META and may
 ///   carry an interned-segment section (dictionary + id-keyed postings,
-///   section 5) instead of section 4.
+///   section 5) instead of section 4. Current builds read section 5 but
+///   always write section 4.
 /// * **3** — online snapshots additionally carry a direct-probe postings
 ///   appendix (sorted run directory + run table + key blob + id blob,
 ///   sections 6–9) laid out for in-buffer binary search, so a load can

@@ -28,13 +28,11 @@
 //! The run order `(l, slot, key)` is exactly the deterministic order
 //! [`SegmentMap::visit_postings`] produces, so the appendix — like every
 //! other section — is byte-identical across saves of the same content.
-//! The interned backend's postings are re-sorted from dictionary-id order
-//! into byte order at encode time.
 //!
 //! [`SegmentMap::visit_postings`]: passjoin::SegmentMap::visit_postings
 
 use passjoin::direct::{DirectSegmentIndex, LengthRuns, RUN_ENTRY_LEN};
-use passjoin::{InternedSegmentIndex, PartitionScheme, SegmentKey, SegmentMap};
+use passjoin::{PartitionScheme, SegmentKey, SegmentMap};
 use sj_common::StringId;
 
 use crate::error::PersistError;
@@ -166,21 +164,6 @@ pub fn encode_direct_owned<K: SegmentKey + std::borrow::Borrow<[u8]> + Ord>(
 ) -> DirectSections {
     encode_direct(map.scheme(), map.tau(), |f| {
         map.visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
-    })
-}
-
-/// Encodes the appendix from an interned segment index, resolving each
-/// dictionary id to its bytes (the sort inside [`encode_direct`] restores
-/// byte order — the interned visitor yields dictionary-id order).
-pub fn encode_direct_interned(index: &InternedSegmentIndex) -> DirectSections {
-    encode_direct(index.scheme(), index.tau(), |f| {
-        index.visit_postings(|l, slot, seg, ids| {
-            let key = index
-                .interner()
-                .bytes_of(seg)
-                .expect("posting references an interned segment");
-            f(l, slot, key, ids)
-        })
     })
 }
 

@@ -23,9 +23,7 @@
 //! posting is one hash insert of a ready-made list, while a rebuild pays
 //! τ+1 sorted inserts *per string*).
 
-use passjoin::{
-    InternedSegmentIndex, OwnedSegmentIndex, PartitionScheme, SegId, SegmentKey, SegmentMap,
-};
+use passjoin::{OwnedSegmentIndex, PartitionScheme, SegmentKey, SegmentMap};
 use sj_common::StringId;
 
 use crate::error::PersistError;
@@ -191,7 +189,9 @@ fn reserve_from_counts(
     }
 }
 
-/// Serializes an interned segment index into a section payload:
+/// Encodes byte-keyed postings, visited in any order, in the **interned
+/// layout** — the dictionary-plus-rank payload online snapshots carried in
+/// their interned-key section:
 ///
 /// ```text
 /// scheme: u32   tau: u32
@@ -204,26 +204,11 @@ fn reserve_from_counts(
 /// }
 /// ```
 ///
-/// Only dictionary entries referenced by at least one posting are written,
-/// renumbered by their **byte order** — so the output depends on the
-/// index's logical content alone, not on its insertion history (dead
-/// interner ids are compacted away), and encoding the same content twice
-/// yields identical bytes. Postings follow in `(l, slot, rank)` order.
-pub fn encode_interned(index: &InternedSegmentIndex) -> Vec<u8> {
-    let interner = index.interner();
-    encode_interned_with(index.scheme(), index.tau(), |f| {
-        index.visit_postings(|l, slot, seg, ids| {
-            let key = interner.bytes_of(seg).expect("visited id is interned");
-            f(l, slot, key, ids)
-        })
-    })
-}
-
-/// [`encode_interned`] over any byte-keyed posting visitor, in any order.
-/// The dictionary is derived from the visited keys and ranked by bytes, so
-/// the output is the same canonical payload [`encode_interned`] writes —
-/// this is how a direct-probe store with an interned origin re-saves its
-/// section byte-identically without rebuilding an interner.
+/// Only keys some posting uses enter the dictionary, ranked by their
+/// bytes, and postings follow in `(l, slot, rank)` order — so the payload
+/// depends on the postings alone. Snapshot saves write [`encode_with`]'s
+/// layout; [`decode_interned`] reads this one from older files, and this
+/// encoder crafts the payloads that pin what it accepts and rejects.
 pub fn encode_interned_with(
     scheme: PartitionScheme,
     tau: usize,
@@ -271,22 +256,23 @@ pub fn encode_interned_with(
     out
 }
 
-/// Decodes an [`encode_interned`] payload into an interned segment index.
+/// Decodes an interned-layout payload ([`encode_interned_with`]) straight
+/// into an owned segment map: each posting's rank is resolved to its
+/// dictionary bytes, which become the posting's owned key.
 ///
 /// The same caller-supplied bounds as [`decode`] apply (`expected_tau`,
 /// `universe`, `max_len`) — plus the checks only the interned layout can
 /// make: the dictionary must be strictly byte-sorted (which also proves it
-/// duplicate-free), every posting's segment rank must be a dictionary
-/// entry whose byte length matches the partition geometry of its
-/// `(l, slot)`, and every dictionary entry must be referenced by at least
-/// one posting (the encoder compacts dead entries; a file with unreferenced
-/// entries was not written by it).
+/// duplicate-free), every posting's rank must be a dictionary entry whose
+/// byte length matches the partition geometry of its `(l, slot)`, and
+/// every dictionary entry must be referenced by at least one posting (the
+/// encoder never writes an unreferenced entry).
 pub fn decode_interned(
     payload: &[u8],
     expected_tau: usize,
     universe: usize,
     max_len: usize,
-) -> Result<InternedSegmentIndex, PersistError> {
+) -> Result<OwnedSegmentIndex, PersistError> {
     const CONTEXT: &str = "interned segment section";
     let corrupt = |_: &'static str| PersistError::Corrupt { context: CONTEXT };
 
@@ -301,8 +287,10 @@ pub fn decode_interned(
         });
     }
     let n_segments = cursor.u64()?;
-    let mut index = InternedSegmentIndex::with_scheme(0, tau, scheme);
-    let mut prev: Option<&[u8]> = None;
+    // Every entry takes at least its 4-byte length field, which bounds
+    // the table allocation against a hostile count.
+    let mut dictionary: Vec<&[u8]> =
+        Vec::with_capacity((n_segments as usize).min(payload.len() / 4));
     for _ in 0..n_segments {
         let len = cursor.u32()? as usize;
         // A segment is a slice of a live string, so it can never be longer
@@ -314,14 +302,15 @@ pub fn decode_interned(
             });
         }
         let bytes = cursor.bytes(len)?;
-        if prev.is_some_and(|prev| prev >= bytes) {
+        if dictionary.last().is_some_and(|&prev| prev >= bytes) {
             return Err(PersistError::Corrupt {
                 context: "interner table is not strictly byte-sorted",
             });
         }
-        prev = Some(bytes);
-        index.restore_segment(bytes).map_err(corrupt)?;
+        dictionary.push(bytes);
     }
+    let mut referenced = vec![false; dictionary.len()];
+    let mut map = OwnedSegmentIndex::with_scheme(0, tau, scheme);
     let n_postings = cursor.u64()?;
     for _ in 0..n_postings {
         let l = cursor.u32()? as usize;
@@ -331,12 +320,13 @@ pub fn decode_interned(
             });
         }
         let slot = cursor.u32()? as usize;
-        let seg = cursor.u32()?;
-        if (seg as u64) >= n_segments {
+        let rank = cursor.u32()? as usize;
+        let Some(&key) = dictionary.get(rank) else {
             return Err(PersistError::Corrupt {
                 context: "posting references an unknown interned segment",
             });
-        }
+        };
+        referenced[rank] = true;
         let n_ids = cursor.u32()? as usize;
         // Cap the pre-reservation: a CRC-valid but hostile `n_ids` must not
         // trigger a huge allocation before the cursor runs out of bytes.
@@ -350,17 +340,16 @@ pub fn decode_interned(
             }
             ids.push(id);
         }
-        index
-            .restore_posting(l, slot, SegId::from_raw(seg), ids)
+        map.restore_posting(l, slot, key.into(), ids)
             .map_err(corrupt)?;
     }
     cursor.finish()?;
-    if index.interner().live() != index.interner().len() {
+    if referenced.contains(&false) {
         return Err(PersistError::Corrupt {
             context: "interner table entry unreferenced by any posting",
         });
     }
-    Ok(index)
+    Ok(map)
 }
 
 #[cfg(test)]
@@ -438,67 +427,70 @@ mod tests {
         assert!(decode(&padded, 2, 10, 10).is_err());
     }
 
-    fn sample_interned() -> InternedSegmentIndex {
-        let mut index = InternedSegmentIndex::new(0, 2);
-        index.insert(b"aaabbbccc", 0);
-        index.insert(b"aaabbbccc", 4);
-        index.insert(b"aaabbbccd", 2);
-        index.insert(b"wwwxxyyzzq", 9);
-        index
+    /// `map`'s postings in the interned layout.
+    fn interned(map: &OwnedSegmentIndex) -> Vec<u8> {
+        encode_interned_with(map.scheme(), map.tau(), |f| {
+            map.visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
+        })
     }
 
     #[test]
     fn interned_round_trip_preserves_probes_and_dictionary() {
-        let original = sample_interned();
-        let encoded = encode_interned(&original);
-        let decoded = decode_interned(&encoded, 2, 10, 10).unwrap();
+        let original = sample_map();
+        let decoded = decode_interned(&interned(&original), 2, 10, 10).unwrap();
         assert_eq!(decoded.entries(), original.entries());
+        assert_eq!(decoded.live_bytes(), original.live_bytes());
         assert_eq!(decoded.tau(), original.tau());
-        assert_eq!(decoded.interner().live(), original.interner().live());
-        original.visit_postings(|l, slot, seg, ids| {
-            let bytes = original.interner().bytes_of(seg).unwrap();
-            assert_eq!(
-                passjoin::SegmentProbe::probe_bytes(&decoded, l, slot, bytes),
-                Some(ids)
-            );
+        original.visit_postings(|l, slot, key, ids| {
+            assert_eq!(decoded.probe(l, slot, key), Some(ids));
         });
+        // Every rank resolved back to its own dictionary bytes: both
+        // layouts re-encode from the decoded map unchanged.
+        assert_eq!(encode(&decoded), encode(&original));
+        assert_eq!(interned(&decoded), interned(&original));
     }
 
     #[test]
     fn interned_encoding_is_content_deterministic() {
-        assert_eq!(
-            encode_interned(&sample_interned()),
-            encode_interned(&sample_interned())
-        );
+        assert_eq!(interned(&sample_map()), interned(&sample_map()));
 
-        // Different insertion (and interning) histories with the same
-        // final content must serialize identically: the encoder renumbers
-        // by byte order and compacts dead dictionary ids away.
-        let mut churned = InternedSegmentIndex::new(0, 2);
-        churned.insert(b"zzzyyyxxx", 7); // interns ids the final state won't use
-        churned.insert(b"wwwxxyyzzq", 9);
-        churned.insert(b"aaabbbccd", 2);
-        churned.insert(b"aaabbbccc", 4);
-        churned.insert(b"aaabbbccc", 0);
-        assert!(churned.remove(b"zzzyyyxxx", 7));
-        assert_eq!(
-            encode_interned(&churned),
-            encode_interned(&sample_interned())
-        );
+        // Different insertion histories with the same final content
+        // serialize identically: the dictionary is ranked by bytes and
+        // holds only keys some posting uses.
+        let mut churned = OwnedSegmentIndex::new(0, 2);
+        churned.insert_owned(b"zzzyyyxxx", 7);
+        churned.insert_owned(b"wwwxxyyzzq", 9);
+        churned.insert_owned(b"aaabbbccd", 2);
+        churned.insert_owned(b"aaabbbccc", 4);
+        churned.insert_owned(b"aaabbbccc", 0);
+        assert!(churned.remove_owned(b"zzzyyyxxx", 7));
+        assert_eq!(interned(&churned), interned(&sample_map()));
+
+        // So does any posting visit order.
+        let mut postings = Vec::new();
+        sample_map().visit_postings(|l, slot, key, ids| {
+            postings.push((l, slot, key.to_vec(), ids.to_vec()));
+        });
+        postings.reverse();
+        let reversed = encode_interned_with(PartitionScheme::Even, 2, |f| {
+            for (l, slot, key, ids) in &postings {
+                f(*l, *slot, key, ids);
+            }
+        });
+        assert_eq!(reversed, interned(&sample_map()));
     }
 
     #[test]
     fn interned_empty_round_trips() {
-        let empty = InternedSegmentIndex::new(0, 3);
-        let decoded = decode_interned(&encode_interned(&empty), 3, 0, 0).unwrap();
+        let empty = OwnedSegmentIndex::new(0, 3);
+        let decoded = decode_interned(&interned(&empty), 3, 0, 0).unwrap();
         assert_eq!(decoded.entries(), 0);
         assert_eq!(decoded.tau(), 3);
-        assert_eq!(decoded.interner().len(), 0);
     }
 
     #[test]
     fn interned_rejects_mismatches_and_corruption() {
-        let encoded = encode_interned(&sample_interned());
+        let encoded = interned(&sample_map());
         // Wrong tau, small universe, small length bound.
         assert!(decode_interned(&encoded, 3, 10, 10).is_err());
         assert!(decode_interned(&encoded, 2, 5, 10).is_err());
@@ -587,9 +579,7 @@ mod tests {
         posting(&mut ok, 4, 1, 0, &[0]);
         posting(&mut ok, 4, 2, 1, &[0]);
         let decoded = decode_interned(&ok, 1, 4, 4).unwrap();
-        assert_eq!(
-            passjoin::SegmentProbe::probe_bytes(&decoded, 4, 1, b"ab"),
-            Some(&[0u32][..])
-        );
+        assert_eq!(decoded.probe(4, 1, b"ab"), Some(&[0u32][..]));
+        assert_eq!(decoded.probe(4, 2, b"cd"), Some(&[0u32][..]));
     }
 }

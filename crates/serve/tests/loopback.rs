@@ -1,7 +1,8 @@
 //! Loopback suite: a real server on `127.0.0.1:0` answering a real
 //! client, pinned against the offline `Queryable` ground truth.
 //!
-//! The contracts exercised here, on both key backends:
+//! The contracts exercised here, on both segment stores (a built index,
+//! and the same index reopened with `OnlineIndex::load_direct`):
 //!
 //! 1. **Byte-identity** — for every request shape (full, top-k,
 //!    count-only) the server's response lines are *byte-identical* to
@@ -29,7 +30,8 @@ use passjoin_online::{KeyBackend, OnlineIndex, Queryable, SearchRequest};
 use passjoin_serve::proto::{self, BudgetSpec, DoneSummary, MetricsFormat};
 use passjoin_serve::{build_query_line, Client, Event, QueryOptions, Server, ServerConfig};
 
-const BACKENDS: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Interned];
+/// The segment stores an index under test serves from.
+const STORES: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Direct];
 
 /// Deterministic corpus with planted near-duplicates and non-ASCII
 /// bytes (no RNG crate needed; xorshift is plenty for test data).
@@ -60,10 +62,24 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
     strings
 }
 
-fn build(strings: &[Vec<u8>], tau_max: usize, backend: KeyBackend) -> OnlineIndex {
-    OnlineIndex::builder(tau_max)
-        .key_backend(backend)
-        .build_from(strings.iter())
+/// An index over `strings` on `store`: as built, or saved and reopened
+/// with `load_direct` so its segment lane probes the snapshot's runs.
+fn build(strings: &[Vec<u8>], tau_max: usize, store: KeyBackend) -> OnlineIndex {
+    let built = OnlineIndex::from_strings(strings.iter(), tau_max);
+    if store == KeyBackend::Owned {
+        return built;
+    }
+    let path = std::env::temp_dir().join(format!(
+        "passjoin-loopback-{}-{:p}.snap",
+        std::process::id(),
+        &built
+    ));
+    built.save(&path).expect("save for a direct reopen");
+    let reopened = OnlineIndex::load_direct(&path);
+    let _ = std::fs::remove_file(&path);
+    let reopened = reopened.expect("direct reopen");
+    assert_eq!(reopened.key_backend(), store);
+    reopened
 }
 
 /// Binds an ephemeral-port server over `index`, runs `test` against it,
@@ -162,8 +178,8 @@ fn metric_value(dump: &str, name: &str) -> Option<i64> {
 fn responses_are_byte_identical_to_offline_answers() {
     let strings = corpus(160, 0xC0FFEE);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(11).cloned().collect();
-    for backend in BACKENDS {
-        let index = build(&strings, 2, backend);
+    for store in STORES {
+        let index = build(&strings, 2, store);
         with_server(
             &index,
             ServerConfig::default(),
@@ -184,7 +200,7 @@ fn responses_are_byte_identical_to_offline_answers() {
                         let want = offline_lines(&index, &queries, tau, limit, count);
                         assert_eq!(
                             got, want,
-                            "shape (tau={tau} limit={limit:?} count={count}) on {backend:?}"
+                            "shape (tau={tau} limit={limit:?} count={count}) on {store:?}"
                         );
                     }
                 }
@@ -197,8 +213,8 @@ fn responses_are_byte_identical_to_offline_answers() {
 fn streamed_responses_carry_exactly_the_offline_matches() {
     let strings = corpus(120, 0xBEEF);
     let queries: Vec<Vec<u8>> = strings.iter().step_by(17).cloned().collect();
-    for backend in BACKENDS {
-        let index = build(&strings, 2, backend);
+    for store in STORES {
+        let index = build(&strings, 2, store);
         with_server(
             &index,
             ServerConfig::default(),
@@ -226,7 +242,7 @@ fn streamed_responses_carry_exactly_the_offline_matches() {
                         let offline = index.search(&SearchRequest::borrowed(query, tau));
                         assert_eq!(
                             streamed, *offline.matches,
-                            "query {q} at tau={tau} on {backend:?}"
+                            "query {q} at tau={tau} on {store:?}"
                         );
                     }
                     assert!(events.iter().all(|e| !matches!(
@@ -485,7 +501,7 @@ fn batch_budget_is_shared_across_the_whole_line() {
 #[test]
 fn protocol_shutdown_drains_and_stops_the_server() {
     let strings = corpus(60, 3);
-    let index = build(&strings, 1, KeyBackend::Interned);
+    let index = build(&strings, 1, KeyBackend::Direct);
     let config = ServerConfig {
         allow_shutdown: true,
         ..ServerConfig::default()

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 use passjoin::sink::MatchSink;
 use passjoin_obs::{Counter, Gauge, Histogram, Registry};
 use passjoin_online::{
-    EngineObs, ExecSource, KeyBackend, LoadMode, Match, OnlineIndex, OnlineStats, QueryOutcome,
-    Queryable, SearchRequest, SearchResponse,
+    EngineObs, ExecSource, KeyBackend, LoadMode, OnlineIndex, OnlineStats, QueryOutcome, Queryable,
+    SearchRequest, SearchResponse,
 };
 use passjoin_persist::{segdirect, DeltaMeta, DeltaOp, PersistError, SnapshotFile};
 use sj_common::StringId;
@@ -462,10 +462,6 @@ impl Queryable for CheckpointedIndex {
         sinks: &mut [&mut (dyn MatchSink + Send)],
     ) -> SearchResponse {
         self.read().search_batch_streaming(reqs, sinks)
-    }
-
-    fn matches(&self, query: &[u8], tau: usize) -> Vec<Match> {
-        self.read().matches(query, tau)
     }
 
     fn tau_max(&self) -> usize {

@@ -506,3 +506,85 @@ fn v2_snapshots_open_through_the_rebuild_fallback() {
     let recovered = CheckpointedIndex::open(&base, OpenOptions::new()).unwrap();
     assert!(!recovered.matches(b"fresh", 0).is_empty());
 }
+
+/// Snapshots written by the retired interned key backend — the v2 and v3
+/// golden fixtures, the five-string collection with id 2 removed — open
+/// on every store path, answer exactly like an owned build of the same
+/// strings, take a first mutation, and re-save as that build's owned
+/// file. `CheckpointedIndex::matches` is checked to be counted by the
+/// engine metrics like any other request along the way.
+#[test]
+fn interned_snapshots_open_on_every_path() {
+    let strings = ["pass-join", "pass-joins", "snapshot", "ab", ""];
+    let owned_build = || {
+        let mut index = OnlineIndex::from_strings(strings.iter().map(|s| s.as_bytes()), 2);
+        index.remove(2);
+        index
+    };
+    let queries: Vec<&[u8]> = strings
+        .iter()
+        .map(|s| s.as_bytes())
+        .chain([&b"pass"[..], b"snapshots"])
+        .collect();
+    let assert_answers_like = |a: &dyn Queryable, b: &dyn Queryable, context: &str| {
+        assert_eq!(a.len(), b.len(), "{context}: live counts differ");
+        for q in &queries {
+            for tau in 0..=2 {
+                assert_eq!(
+                    a.matches(q, tau),
+                    b.matches(q, tau),
+                    "{context}: {q:?} at {tau}"
+                );
+            }
+        }
+    };
+    let fixtures: [(&str, &[u8]); 2] = [
+        (
+            "v2",
+            include_bytes!("../../online/tests/data/v2-interned.snap"),
+        ),
+        (
+            "v3",
+            include_bytes!("../../online/tests/data/v3-interned.snap"),
+        ),
+    ];
+    for (version, bytes) in fixtures {
+        let scratch = Scratch::new(&format!("interned-{version}"));
+        let base = scratch.path("index.snap");
+        std::fs::write(&base, bytes).unwrap();
+        let fresh = owned_build();
+        assert_answers_like(&open_instant(&base).unwrap(), &fresh, "open_instant");
+        assert_answers_like(&open_mapped(&base).unwrap(), &fresh, "open_mapped");
+
+        for (mode, options) in [
+            ("eager", OpenOptions::new()),
+            ("instant", OpenOptions::new().mmap(true).instant(true)),
+        ] {
+            let context = format!("{version} {mode}");
+            let registry = Arc::new(Registry::new());
+            let store = CheckpointedIndex::open(&base, options.registry(Arc::clone(&registry)))
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            assert_eq!(store.wait_for_verification(), VerifyState::Ok, "{context}");
+            assert_answers_like(&store, &fresh, &context);
+            let requests = registry.counter("passjoin_requests_total");
+            let before = requests.get();
+            store.matches(b"pass-join", 1);
+            assert_eq!(requests.get(), before + 1, "{context}: matches is counted");
+
+            let mut twin = owned_build();
+            assert_eq!(store.insert(b"pass-jion"), twin.insert(b"pass-jion"));
+            assert_eq!(store.remove(0), twin.remove(0));
+            assert_answers_like(&store, &twin, &context);
+
+            let resaved = scratch.path(&format!("resaved-{mode}.snap"));
+            let expected = scratch.path(&format!("expected-{mode}.snap"));
+            store.save_full(&resaved).unwrap();
+            twin.save(&expected).unwrap();
+            assert_eq!(
+                std::fs::read(&resaved).unwrap(),
+                std::fs::read(&expected).unwrap(),
+                "{context}: re-saves as the owned build's file"
+            );
+        }
+    }
+}
