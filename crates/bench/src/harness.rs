@@ -8,7 +8,7 @@ use datagen::{DatasetKind, DatasetSpec};
 use edjoin::EdJoin;
 use passjoin::partition::segment;
 use passjoin::{PassJoin, Selection, Verification};
-use sj_common::{JoinOutput, SimilarityJoin, StringCollection};
+use sj_common::{SimilarityJoin, StringCollection};
 use triejoin::{TrieJoin, TrieVariant};
 
 /// Default corpus sizes for the reproduction runs, scaled down ~10× from
@@ -57,13 +57,6 @@ pub fn figure15_roster(kind: DatasetKind) -> Vec<(String, Box<dyn SimilarityJoin
             Box::new(TrieJoin::new().with_variant(TrieVariant::PathStack)),
         ),
     ]
-}
-
-/// Runs a join and returns its output; elapsed time is measured inside the
-/// drivers (index construction included, matching the paper's "elapsed
-/// time included the indexing time and the join time").
-pub fn run_join(join: &dyn SimilarityJoin, coll: &StringCollection, tau: usize) -> JoinOutput {
-    join.self_join(coll, tau)
 }
 
 /// Counts and times substring selection alone (Figures 12–13): replicates

@@ -5,7 +5,7 @@
 //! segments have length `⌈l/(τ+1)⌉` and the first `τ+1−k` have
 //! `⌊l/(τ+1)⌋`. Balanced segments are as long as possible, which keeps
 //! their selectivity high (short segments match everywhere and flood the
-//! candidate set — the ablation bench `ablation-partition` quantifies this).
+//! candidate set — the `repro ablation-partition` experiment quantifies this).
 //!
 //! By the pigeonhole principle (Lemma 1), any string within edit distance τ
 //! of `s` must contain a substring equal to one of `s`'s τ+1 segments.

@@ -13,7 +13,7 @@
 //! truth as `dup<TAB>base` line-index pairs — the oracle the dedup smoke
 //! tests recover. `--churn N --churn-out script.txt` writes a
 //! deterministic insert/remove workload over the corpus in the repl's
-//! `:add`/`:rm` syntax, for delta-checkpoint tests and benches:
+//! `:add`/`:rm` syntax, for delta-checkpoint tests and smokes:
 //!
 //! ```text
 //! datagen --kind author --n 20000 --out base.txt --churn 1000 --churn-out churn.txt

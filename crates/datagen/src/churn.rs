@@ -1,6 +1,6 @@
 //! Deterministic churn scripts: a mutation workload over a base corpus.
 //!
-//! Delta-checkpoint tests and benches need a reproducible stream of
+//! Delta-checkpoint tests and smokes need a reproducible stream of
 //! inserts and removes *against a known base* — inserts that look like
 //! real drift (near-duplicate copies of live strings, the same model the
 //! corpus generators use for planted duplicates) and removes that only

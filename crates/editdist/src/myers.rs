@@ -3,10 +3,9 @@
 //! Not part of Pass-Join itself, but the strongest practical alternative to
 //! banded dynamic programming for verification: the DP column is packed
 //! into machine words (delta-encoded as horizontal/vertical +1/−1 bit
-//! vectors), processing 64 pattern characters per word operation. The
-//! `kernels` bench compares it against the paper's banded verifiers —
-//! an ablation the paper does not run but that a production system would
-//! want before committing to a verifier.
+//! vectors), processing 64 pattern characters per word operation —
+//! an alternative the paper does not evaluate but that a production
+//! system would want to compare before committing to a verifier.
 //!
 //! This implementation handles patterns of arbitrary length by chaining
 //! 64-bit blocks (the unbanded "multi-word" variant), tracking the score at

@@ -194,23 +194,6 @@ impl OnlineIndex {
         )
     }
 
-    /// [`OnlineIndex::load_direct`] with observability attached, exactly
-    /// as [`OnlineIndex::load_with`] does for the rebuild path.
-    pub fn load_direct_with(
-        path: impl AsRef<Path>,
-        obs: Arc<EngineObs>,
-    ) -> Result<Self, PersistError> {
-        let mut index = load_impl(
-            path.as_ref(),
-            LoadMode::Direct {
-                deep_validate: true,
-            },
-            Some(&obs),
-        )?;
-        index.set_observability(Some(obs));
-        Ok(index)
-    }
-
     /// Reconstructs an index from an already-opened container — the entry
     /// point `passjoin-store` uses to combine its own buffer strategy
     /// (mmap, lazy CRC validation) with either [`LoadMode`]. The index

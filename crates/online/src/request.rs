@@ -4,7 +4,7 @@
 //! threshold, an optional top-k limit, count-only mode — from *how to
 //! execute it* — cache policy and a parallelism hint for batches. Every
 //! query path ([`crate::Queryable::search`], [`search_batch`],
-//! [`crate::Queryable::matches`], the CLI, the benches) compiles down to
+//! [`crate::Queryable::matches`], the CLI, the server) compiles down to
 //! requests executed by one engine (`crate::exec`), so a new serving
 //! feature is a new request field, not a new method variant.
 //!

@@ -1213,18 +1213,6 @@ impl ShardedIndex {
             obs: None,
         })
     }
-
-    /// [`ShardedIndex::load_sharded`] with observability attached to the
-    /// restored router (same wiring as
-    /// [`ShardedIndexBuilder::observability`]).
-    pub fn load_sharded_with(
-        path: impl AsRef<Path>,
-        registry: Arc<Registry>,
-    ) -> Result<Self, PersistError> {
-        let mut router = Self::load_sharded(path)?;
-        router.set_observability(Some(registry));
-        Ok(router)
-    }
 }
 
 #[cfg(test)]

@@ -55,6 +55,9 @@ pub enum ErrorCode {
     LineTooLong,
     /// The `queries` array exceeded the server's `max_batch`.
     BatchTooLarge,
+    /// The engine panicked answering the line; the connection keeps
+    /// serving.
+    Internal,
 }
 
 impl ErrorCode {
@@ -65,6 +68,7 @@ impl ErrorCode {
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::LineTooLong => "line_too_long",
             ErrorCode::BatchTooLarge => "batch_too_large",
+            ErrorCode::Internal => "internal",
         }
     }
 }

@@ -25,9 +25,14 @@
 //! `shutdown` op, when enabled) stops the accept loop; in-flight
 //! connections drain — their current request completes and the
 //! connection closes after a farewell read cycle.
+//!
+//! **Engine panics** cost their line only: a panic inside the engine
+//! call, buffered or streamed, is caught and answered with an
+//! `internal` error terminator, and the connection keeps reading.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -476,9 +481,15 @@ impl Server {
 
         let mut summary = DoneSummary::default();
         if spec.stream && !spec.count {
-            self.stream_query(&requests, source, conn, &mut summary)?;
+            if let Err(e) = self.stream_query(&requests, source, conn, &mut summary)? {
+                return Ok(Err(e));
+            }
         } else {
-            let response = source.search_batch(&requests);
+            let Ok(response) =
+                panic::catch_unwind(AssertUnwindSafe(|| source.search_batch(&requests)))
+            else {
+                return Ok(Err(engine_panicked()));
+            };
             for (q, outcome) in response.outcomes.iter().enumerate() {
                 if !spec.count {
                     for &(id, dist) in outcome.matches.iter() {
@@ -495,16 +506,18 @@ impl Server {
     /// Streams one query line through the bounded pull channel: the
     /// engine pushes on a helper thread, this (connection) thread pulls
     /// and writes — see the module docs for the backpressure contract.
+    /// Results nest like `serve_query`'s; a panicked engine thread is the
+    /// inner error.
     fn stream_query(
         &self,
         requests: &[SearchRequest<'_>],
         source: &(dyn Queryable + Sync),
         conn: &mut Connection<'_>,
         summary: &mut DoneSummary,
-    ) -> io::Result<()> {
+    ) -> io::Result<Result<(), RequestError>> {
         let (tx, rx) = passjoin_online::pull_channel::<StreamItem>(self.config.stream_buffer);
         let mut write_failure = None;
-        let high_water = std::thread::scope(|scope| {
+        let joined = std::thread::scope(|scope| {
             let engine = scope.spawn(move || {
                 for (q, req) in requests.iter().enumerate() {
                     let mut sink = StreamSink {
@@ -537,13 +550,25 @@ impl Server {
                     break; // dropping rx hangs up; the engine aborts
                 }
             }
-            engine.join().expect("streaming engine thread panicked")
+            // A panic unwinds the engine thread, dropping its sender:
+            // the loop above has already ended, and the join reports it.
+            engine.join()
         });
-        self.obs.note_stream_peak(high_water);
+        if let Ok(high_water) = &joined {
+            self.obs.note_stream_peak(*high_water);
+        }
         match write_failure {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(joined.map(|_| ()).map_err(|_| engine_panicked())),
         }
+    }
+}
+
+/// The error a line gets when the engine panicked answering it.
+fn engine_panicked() -> RequestError {
+    RequestError {
+        code: ErrorCode::Internal,
+        msg: "the engine panicked answering this line".into(),
     }
 }
 

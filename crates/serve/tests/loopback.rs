@@ -19,6 +19,8 @@
 //! 5. **Lifecycle** — graceful shutdown drains in-flight connections;
 //!    the protocol `shutdown` op works only when enabled; the `metrics`
 //!    op reports request/query counters that add up.
+//! 6. **Engine panics** — a panic answering a buffered or a streamed
+//!    line costs that line an `internal` error, not the connection.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -26,9 +28,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use passjoin_obs::Registry;
-use passjoin_online::{KeyBackend, OnlineIndex, Queryable, SearchRequest};
+use passjoin_online::{
+    ExecSource, KeyBackend, MatchSink, OnlineIndex, QueryOutcome, Queryable, SearchRequest,
+    SearchResponse,
+};
 use passjoin_serve::proto::{self, BudgetSpec, DoneSummary, MetricsFormat};
-use passjoin_serve::{build_query_line, Client, Event, QueryOptions, Server, ServerConfig};
+use passjoin_serve::{
+    build_query_line, Client, Event, QueryOptions, Server, ServerConfig, ShutdownHandle,
+};
 
 /// The segment stores an index under test serves from.
 const STORES: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Direct];
@@ -82,12 +89,22 @@ fn build(strings: &[Vec<u8>], tau_max: usize, store: KeyBackend) -> OnlineIndex 
     reopened
 }
 
+/// Shuts the server down when dropped, so a failing test body unwinds
+/// into a failure instead of waiting forever on a running server.
+struct ShutdownOnDrop(ShutdownHandle);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 /// Binds an ephemeral-port server over `index`, runs `test` against it,
 /// then shuts down and propagates any server error. The scope join is
 /// itself the graceful-drain assertion: `run` only returns once every
 /// connection thread has finished.
 fn with_server<T>(
-    index: &OnlineIndex,
+    index: &(dyn Queryable + Sync),
     config: ServerConfig,
     registry: Arc<Registry>,
     test: impl FnOnce(SocketAddr, &Server) -> T,
@@ -96,8 +113,9 @@ fn with_server<T>(
     let addr = server.local_addr().expect("local addr");
     std::thread::scope(|scope| {
         let runner = scope.spawn(|| server.run(index));
+        let stop = ShutdownOnDrop(server.shutdown_handle());
         let result = test(addr, &server);
-        server.shutdown_handle().shutdown();
+        drop(stop);
         runner
             .join()
             .expect("server thread panicked")
@@ -584,6 +602,96 @@ fn metrics_op_reports_the_traffic_it_is_part_of() {
                 passjoin_serve::json::parse(json_dump.as_bytes()).expect("metrics json parses");
             drop(parsed);
             assert!(json_dump.contains("passjoin_server_queries_total"));
+        },
+    );
+}
+
+/// A source that answers from `inner` but panics on `poison`: an engine
+/// bug on one input, on both the buffered and the streamed path.
+struct PanicsOn<'a> {
+    inner: &'a OnlineIndex,
+    poison: &'a [u8],
+}
+
+impl Queryable for PanicsOn<'_> {
+    fn exec_source(&self) -> Option<ExecSource<'_>> {
+        self.inner.exec_source()
+    }
+
+    fn search_batch(&self, reqs: &[SearchRequest]) -> SearchResponse {
+        if reqs.iter().any(|req| req.query() == self.poison) {
+            panic!("poison query in a batch");
+        }
+        self.inner.search_batch(reqs)
+    }
+
+    fn search_streaming(&self, req: &SearchRequest, sink: &mut dyn MatchSink) -> QueryOutcome {
+        if req.query() == self.poison {
+            panic!("poison query in a stream");
+        }
+        self.inner.search_streaming(req, sink)
+    }
+}
+
+#[test]
+fn an_engine_panic_costs_its_line_and_the_connection_survives() {
+    let strings = corpus(60, 21);
+    let index = build(&strings, 1, KeyBackend::Owned);
+    let poison: &[u8] = b"poison";
+    let source = PanicsOn {
+        inner: &index,
+        poison,
+    };
+    let queries: Vec<&[u8]> = strings.iter().take(3).map(Vec::as_slice).collect();
+    with_server(
+        &source,
+        ServerConfig::default(),
+        Arc::new(Registry::new()),
+        |addr, _| {
+            let mut client = Client::connect(addr).unwrap();
+            for stream in [false, true] {
+                let options = QueryOptions {
+                    tau: Some(1),
+                    stream,
+                    ..QueryOptions::default()
+                };
+                // The poison query sits between two good ones.
+                let poisoned = [queries[0], poison, queries[1]];
+                let events = client.query(&poisoned, &options).unwrap();
+                match events.last() {
+                    Some(Event::Error { code, .. }) => {
+                        assert_eq!(code, "internal", "stream={stream}")
+                    }
+                    other => panic!("stream={stream}: wanted an internal error, got {other:?}"),
+                }
+
+                // The next line on the same connection is answered in full.
+                let events = client.query(&queries, &options).unwrap();
+                assert!(
+                    matches!(events.last(), Some(Event::Done { queries: 3, .. })),
+                    "stream={stream}: {:?}",
+                    events.last()
+                );
+                for (q, query) in queries.iter().enumerate() {
+                    let mut got: Vec<(u32, usize)> = events
+                        .iter()
+                        .filter_map(|e| match e {
+                            Event::Match { q: eq, id, d } if *eq == q as u64 => {
+                                Some((*id as u32, *d as usize))
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    let offline = index.search(&SearchRequest::borrowed(query, 1));
+                    assert_eq!(got, *offline.matches, "query {q}, stream={stream}");
+                }
+            }
+            let dump = client.metrics(MetricsFormat::Prometheus).unwrap();
+            assert_eq!(
+                metric_value(&dump, "passjoin_server_request_errors_total"),
+                Some(2)
+            );
         },
     );
 }

@@ -77,19 +77,3 @@ pub fn open_instant(path: impl AsRef<Path>) -> Result<OnlineIndex, PersistError>
     };
     OnlineIndex::from_snapshot_file(&file, mode)
 }
-
-/// Loads a snapshot via mmap with *full* eager validation — the safe
-/// sibling of [`open_instant`] when restart latency can afford the
-/// checks: all CRCs and, on the direct path, the deep structural scan.
-pub fn open_mapped(path: impl AsRef<Path>) -> Result<OnlineIndex, PersistError> {
-    let (buf, _) = open_bytes(path.as_ref(), true)?;
-    let file = SnapshotFile::parse(buf)?;
-    let mode = if passjoin_persist::segdirect::has_direct_sections(&file) {
-        LoadMode::Direct {
-            deep_validate: true,
-        }
-    } else {
-        LoadMode::Rebuild
-    };
-    OnlineIndex::from_snapshot_file(&file, mode)
-}

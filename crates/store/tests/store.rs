@@ -8,8 +8,8 @@ use std::time::Duration;
 use passjoin_obs::Registry;
 use passjoin_online::{OnlineIndex, PersistError, Queryable, SearchRequest};
 use passjoin_store::{
-    delta_path, find_chain, load_chain, open_instant, open_mapped, CheckpointedIndex, Checkpointer,
-    OpenOptions, VerifyState,
+    delta_path, find_chain, load_chain, open_instant, CheckpointedIndex, Checkpointer, OpenOptions,
+    VerifyState,
 };
 
 /// A scratch directory that cleans up after itself.
@@ -156,7 +156,6 @@ fn checkpoint_chain_roundtrips_across_restarts() {
     for (name, options) in [
         ("default", OpenOptions::new()),
         ("mmap", OpenOptions::new().mmap(true)),
-        ("rebuild", OpenOptions::new().rebuild(true)),
         ("instant", OpenOptions::new().mmap(true).instant(true)),
     ] {
         let store = CheckpointedIndex::open(&base, options).unwrap();
@@ -244,9 +243,9 @@ fn open_modes_agree_with_the_plain_loader() {
     twin.save(&base).unwrap();
 
     let plain = OnlineIndex::load(&base).unwrap();
-    let mapped = open_mapped(&base).unwrap();
+    let mapped = CheckpointedIndex::open(&base, OpenOptions::new().mmap(true)).unwrap();
     let instant = open_instant(&base).unwrap();
-    assert_equivalent(&mapped, &plain, "open_mapped");
+    assert_equivalent(&mapped, &plain, "mapped open");
     assert_equivalent(&instant, &plain, "open_instant");
 
     // Batched queries agree too (the engine path, not just `matches`).
@@ -554,7 +553,11 @@ fn interned_snapshots_open_on_every_path() {
         std::fs::write(&base, bytes).unwrap();
         let fresh = owned_build();
         assert_answers_like(&open_instant(&base).unwrap(), &fresh, "open_instant");
-        assert_answers_like(&open_mapped(&base).unwrap(), &fresh, "open_mapped");
+        assert_answers_like(
+            &CheckpointedIndex::open(&base, OpenOptions::new().mmap(true)).unwrap(),
+            &fresh,
+            "mapped open",
+        );
 
         for (mode, options) in [
             ("eager", OpenOptions::new()),

@@ -12,3 +12,9 @@ pub use passjoin_serve;
 pub use passjoin_setsim;
 pub use sj_common;
 pub use triejoin;
+
+/// Compiles and runs README.md's Rust blocks as doctests, so the
+/// examples there cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
