@@ -13,12 +13,16 @@
 //! A query probes only its **prefix** — the first `sx − α + 1` tokens,
 //! where `α` is the metric's required-overlap bound — and screens each
 //! posting entry with length-interval pruning and the positional prefix
-//! condition `j_x + α(sx, sy) ≤ sx ∧ j_y + α(sx, sy) ≤ sy` before an
-//! exact merge verification. This is the PPJoin/All-Pairs family of
-//! filters (see [`crate::metric`]) on the engine's existing
-//! probe-verify-sink skeleton: verification pushes into a
-//! [`MatchSink`], so top-k steering, saturation, and [`ExecBudget`]
-//! caps all work unchanged.
+//! condition `j_x + α(sx, sy) ≤ sx ∧ j_y + α(sx, sy) ≤ sy`. The α values
+//! come from a per-query table over the admissible candidate sizes, and
+//! because α never decreases in `sy`, the `j_x` half of the condition is a
+//! size cap per probed position. A surviving candidate is verified
+//! against a bitmap of the query's tokens, and the check stops as soon as
+//! the candidate's misses show its overlap cannot reach α at the
+//! requested threshold. This is the PPJoin/All-Pairs family of filters
+//! (see [`crate::metric`]) on the engine's existing probe-verify-sink
+//! skeleton: verification pushes into a [`MatchSink`], so top-k steering,
+//! saturation, and [`ExecBudget`] caps all work unchanged.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -148,6 +152,8 @@ pub struct SetSimilarityIndex {
     records: Vec<Option<Box<[SegId]>>>,
     /// Raw token id → postings: `(record, position in its sorted array)`.
     postings: Vec<Vec<(StringId, u32)>>,
+    /// Largest token-set size ever inserted: no live record is larger.
+    max_size: usize,
     live: usize,
     posting_entries: u64,
     obs: Option<Arc<SetSimObs>>,
@@ -165,6 +171,7 @@ impl SetSimilarityIndex {
             next_new: -1,
             records: Vec::new(),
             postings: Vec::new(),
+            max_size: 0,
             live: 0,
             posting_entries: 0,
             obs: None,
@@ -264,6 +271,7 @@ impl SetSimilarityIndex {
             self.postings[seg.raw() as usize].push((id, pos as u32));
         }
         self.posting_entries += tokens.len() as u64;
+        self.max_size = self.max_size.max(tokens.len());
         self.records.push(Some(tokens.into_boxed_slice()));
         self.live += 1;
         if let Some(obs) = &self.obs {
@@ -429,9 +437,10 @@ impl SetSimilarityIndex {
     }
 
     /// The filter-verify scan. Stats mapping onto [`ExecStats`]:
-    /// `candidates` = posting entries screened, `verifications` = merge
-    /// verifications run, `segment_matches` = matches pushed (the short
-    /// lane's counters stay 0 — sets have no short lane).
+    /// `candidates` = posting entries screened, `verifications` = overlap
+    /// verifications started (an early reject counts as one),
+    /// `segment_matches` = matches pushed (the short lane's counters stay
+    /// 0 — sets have no short lane).
     fn probe<S: MatchSink + ?Sized>(
         &self,
         metric: SetMetric,
@@ -446,11 +455,9 @@ impl SetSimilarityIndex {
         }
         let tau0 = SetMetric::distance_bound(threshold);
         let mut t_eff = threshold;
-        let (mut lo, mut hi) = metric.size_range(t_eff, sx);
-        // Probe prefix: the required overlap is smallest against the
-        // smallest admissible candidate, so sx − α(sx, lo) + 1 positions
-        // suffice for every candidate size at once.
-        let mut prefix = sx - metric.min_overlap(t_eff, sx, lo).min(sx) + 1;
+        let mut alphas = AlphaTable::new(metric, t_eff, sx, self.max_size);
+        let mut prefix = alphas.prefix(sx);
+        let mut qbits: Option<Vec<u64>> = None;
         let mut seen: FxHashSet<StringId> = FxHashSet::default();
         let mut jx = 0;
         'scan: while jx < prefix {
@@ -464,8 +471,8 @@ impl SetSimilarityIndex {
                 let tightened = SetMetric::tightened_threshold(threshold, bound);
                 if tightened > t_eff {
                     t_eff = tightened;
-                    (lo, hi) = metric.size_range(t_eff, sx);
-                    prefix = sx - metric.min_overlap(t_eff, sx, lo).min(sx) + 1;
+                    alphas = AlphaTable::new(metric, t_eff, sx, self.max_size);
+                    prefix = alphas.prefix(sx);
                     if jx >= prefix {
                         break;
                     }
@@ -476,6 +483,11 @@ impl SetSimilarityIndex {
                 jx += 1;
                 continue;
             }
+            // Positional prefix condition: if |x ∩ y| ≥ α, the rarest
+            // shared token sits within the α-suffix margin in *both*
+            // sorted arrays, so some posting entry passes. The x side,
+            // jx + α(sy) ≤ sx, holds for exactly the sizes up to `top`.
+            let top = alphas.largest_within(sx - jx);
             for &(y, jy) in &self.postings[raw as usize] {
                 sink.note_candidate();
                 if sink.saturated() {
@@ -486,14 +498,7 @@ impl SetSimilarityIndex {
                     continue;
                 };
                 let sy = ytokens.len();
-                if sy < lo || sy > hi {
-                    continue;
-                }
-                // Positional prefix condition: if |x ∩ y| ≥ α, the
-                // rarest shared token sits within the α-suffix margin in
-                // *both* sorted arrays, so some posting entry passes.
-                let alpha = metric.min_overlap(t_eff, sx, sy);
-                if jx + alpha > sx || jy as usize + alpha > sy {
+                if sy < alphas.lo || sy > top || jy as usize + alphas.alpha(sy) > sy {
                     continue;
                 }
                 if !seen.insert(y) {
@@ -504,7 +509,11 @@ impl SetSimilarityIndex {
                     break 'scan; // budget tripped: this verification is skipped
                 }
                 stats.verifications += 1;
-                let o = self.merge_overlap(qtokens, ytokens);
+                let qbits = qbits.get_or_insert_with(|| self.query_bitmap(qtokens));
+                let need = metric.min_overlap(threshold, sx, sy);
+                let Some(o) = overlap_reaching(qbits, ytokens, need) else {
+                    continue;
+                };
                 if metric.accepts(threshold, o, sx, sy) {
                     let dist = metric.scaled_distance(o, sx, sy);
                     sink.push(y, dist);
@@ -519,31 +528,92 @@ impl SetSimilarityIndex {
         stats
     }
 
-    /// Exact `|x ∩ y|` by linear merge over the shared `(key, raw)`
-    /// order. Unknown query tokens carry the sentinel raw id and can
-    /// never equal an indexed token.
-    fn merge_overlap(&self, qtokens: &[(i64, u32)], ytokens: &[SegId]) -> usize {
-        let (mut i, mut j, mut o) = (0, 0, 0);
-        while i < qtokens.len() && j < ytokens.len() {
-            let a = qtokens[i];
-            let yraw = ytokens[j].raw();
-            let b = (self.key_of[yraw as usize], yraw);
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    o += 1;
-                    i += 1;
-                    j += 1;
-                }
+    /// The query's known tokens as a bitmap over the dense raw token ids
+    /// (⌈dictionary size / 64⌉ words). Unknown query tokens have no id
+    /// and so no bit: they can never equal an indexed token.
+    fn query_bitmap(&self, qtokens: &[(i64, u32)]) -> Vec<u64> {
+        let mut bits = vec![0u64; self.key_of.len().div_ceil(64)];
+        for &(_, raw) in qtokens {
+            if raw != UNKNOWN_RAW {
+                bits[raw as usize / 64] |= 1 << (raw % 64);
             }
         }
-        o
+        bits
     }
 
     fn record_index_gauges(&self) {
         if let Some(obs) = &self.obs {
             obs.record_index(self.live, self.dict.len(), self.posting_entries);
+        }
+    }
+}
+
+/// `|x ∩ y|` with `x` given as its token bitmap, or `None` as soon as
+/// `y`'s misses exceed `sy − need`: the overlap can then no longer reach
+/// `need`.
+fn overlap_reaching(xbits: &[u64], ytokens: &[SegId], need: usize) -> Option<usize> {
+    let slack = ytokens.len().saturating_sub(need);
+    let mut misses = 0;
+    for seg in ytokens {
+        let raw = seg.raw() as usize;
+        if xbits[raw / 64] & (1 << (raw % 64)) == 0 {
+            misses += 1;
+            if misses > slack {
+                return None;
+            }
+        }
+    }
+    Some(ytokens.len() - misses)
+}
+
+/// One query's required overlaps `α(sx, sy)` at one threshold, for every
+/// candidate size `sy` the probe can admit: `[lo, hi]` from the metric's
+/// size interval, cut at the largest record ever inserted and, for
+/// [`SetMetric::Overlap`], at `sx`, where α stops growing. A size past
+/// the cut either belongs to no record or, under `Overlap`, shares the
+/// last entry's α.
+struct AlphaTable {
+    lo: usize,
+    hi: usize,
+    /// `alpha[i]` = α(sx, lo + i); never empty.
+    alpha: Vec<usize>,
+}
+
+impl AlphaTable {
+    fn new(metric: SetMetric, t: f64, sx: usize, max_size: usize) -> Self {
+        let (lo, hi) = metric.size_range(t, sx);
+        let last = match metric {
+            SetMetric::Overlap => sx,
+            SetMetric::Jaccard | SetMetric::Cosine => hi,
+        };
+        let last = last.min(max_size).max(lo);
+        let alpha = (lo..=last)
+            .map(|sy| metric.min_overlap(t, sx, sy))
+            .collect();
+        Self { lo, hi, alpha }
+    }
+
+    fn alpha(&self, sy: usize) -> usize {
+        self.alpha[(sy - self.lo).min(self.alpha.len() - 1)]
+    }
+
+    /// Probe prefix: the required overlap is smallest against the
+    /// smallest admissible candidate, so `sx − α(sx, lo) + 1` positions
+    /// suffice for every candidate size at once.
+    fn prefix(&self, sx: usize) -> usize {
+        sx - self.alpha[0].min(sx) + 1
+    }
+
+    /// The largest admissible size with `α ≤ room`, or `lo − 1` when
+    /// none is. α never decreases in `sy`, so the sizes that fit form a
+    /// prefix of the table; when the whole table fits, so does every
+    /// size past the cut.
+    fn largest_within(&self, room: usize) -> usize {
+        let fit = self.alpha.partition_point(|&a| a <= room);
+        if fit == self.alpha.len() {
+            self.hi
+        } else {
+            self.lo + fit - 1
         }
     }
 }

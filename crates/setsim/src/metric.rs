@@ -220,10 +220,14 @@ mod tests {
 
     #[test]
     fn min_overlap_is_a_valid_lower_bound() {
+        // Verification rejects a pair as soon as its overlap provably
+        // stays below α, so an α one too large silently drops matches:
+        // cover set sizes well past a ~100-token record, and thresholds
+        // that are not exact in binary.
         for metric in [SetMetric::Jaccard, SetMetric::Cosine, SetMetric::Overlap] {
-            for sx in 1..=15usize {
-                for sy in 1..=15usize {
-                    for t in [0.3, 0.5, 0.8, 0.9, 1.0] {
+            for sx in 1..=300usize {
+                for sy in 1..=300usize {
+                    for t in [0.3, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 0.9, 1.0] {
                         let alpha = metric.min_overlap(t, sx, sy);
                         // No accepted overlap may fall below alpha.
                         for o in 0..alpha.min(sx.min(sy) + 1) {

@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | `passjoin_setsim_requests_total` | counter | search requests answered |
 //! | `passjoin_setsim_candidates_total` | counter | posting entries screened |
-//! | `passjoin_setsim_verifications_total` | counter | merge verifications run |
+//! | `passjoin_setsim_verifications_total` | counter | overlap verifications started (an early reject counts once) |
 //! | `passjoin_setsim_matches_total` | counter | matches accepted |
 //! | `passjoin_setsim_truncated_total` | counter | requests cut short by a budget |
 //! | `passjoin_setsim_inserts_total` | counter | records inserted |

@@ -7,6 +7,7 @@
 //! `SetMetric::accepts` test, so agreement is exact equality — no
 //! epsilon tolerance anywhere.
 
+use datagen::{DatasetKind, DatasetSpec};
 use passjoin_setsim::{
     sorted_overlap, DedupPipeline, SetMetric, SetQuery, SetSimilarityIndex, TokenMode, UnionFind,
 };
@@ -292,4 +293,164 @@ fn observability_reconciles_with_summed_stats() {
         total.segment_matches
     );
     assert_eq!(value("passjoin_setsim_index_records"), records.len() as u64);
+}
+
+#[test]
+fn search_streaming_agrees_with_buffered_search() {
+    use passjoin::sink::{CollectSink, CountSink, TopKSink};
+
+    let records = corpus(120, 17);
+    let index = SetSimilarityIndex::build_from(TokenMode::Grams { q: 2 }, &records);
+    let mut capped_runs = 0;
+    for metric in METRICS {
+        for t in THRESHOLDS {
+            for qtext in records.iter().step_by(7) {
+                let query = SetQuery::new(qtext, metric, t);
+                let buffered = index.search(&query).into_matches();
+
+                // A plain stream delivers the buffered (id, dist) set.
+                let mut streamed = Vec::new();
+                let outcome = index.search_streaming(&query, &mut CollectSink::new(&mut streamed));
+                streamed.sort_unstable();
+                assert_eq!(streamed, buffered, "{metric:?} t={t} stream diverged");
+                assert_eq!(outcome.count, buffered.len());
+                assert!(outcome.matches.is_empty() && outcome.completion.is_complete());
+
+                // A top-k sink steers the stream to the with_limit answer.
+                for k in [1, 3] {
+                    let mut top = TopKSink::new(k);
+                    index.search_streaming(&query, &mut top);
+                    let limited = index.search(&query.clone().with_limit(k)).into_matches();
+                    assert_eq!(top.into_matches(), limited, "{metric:?} t={t} k={k}");
+                }
+
+                // A sink saturated by its first match stops the scan there.
+                if buffered.len() >= 2 {
+                    let mut first = CountSink::capped(1);
+                    let outcome = index.search_streaming(&query, &mut first);
+                    assert_eq!(first.count(), 1);
+                    assert_eq!(
+                        outcome.stats.segment_matches, 1,
+                        "{metric:?} t={t}: scan went on past a saturated sink"
+                    );
+                    capped_runs += 1;
+                }
+            }
+        }
+    }
+    assert!(capped_runs > 0, "no query had two matches to stop between");
+}
+
+/// Long records: AuthorTitle strings (~100 bytes, ~100 q-grams each)
+/// with planted near-duplicates at up to six edits, so pairs land on
+/// both sides of every threshold.
+fn long_corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
+    DatasetSpec::new(DatasetKind::AuthorTitle, n)
+        .with_seed(seed)
+        .with_duplicate_rate(0.4)
+        .with_max_planted_edits(6)
+        .generate()
+}
+
+/// External queries: near-duplicates of corpus records carrying bytes
+/// the corpus never contains, so every query holds unknown tokens.
+fn foreign_queries(records: &[Vec<u8>], seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    records
+        .iter()
+        .step_by(9)
+        .map(|r| {
+            let mut q = r.clone();
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let pos = rng.gen_range(0..=q.len());
+                q.insert(pos, if rng.gen_bool(0.5) { b'#' } else { 0xff });
+            }
+            q.extend_from_slice(b" \xfe~q");
+            q
+        })
+        .collect()
+}
+
+/// Asserts both indexes answer every query exactly as brute force over
+/// the live records, for every metric × threshold.
+fn assert_long_answers(
+    indexes: [(&str, &SetSimilarityIndex); 2],
+    mode: TokenMode,
+    records: &[Vec<u8>],
+    live: &[bool],
+    queries: &[&Vec<u8>],
+) {
+    let sets: Vec<Vec<&[u8]>> = records.iter().map(|r| mode.token_set(r)).collect();
+    for qtext in queries {
+        let q = mode.token_set(qtext);
+        let overlaps: Vec<usize> = sets.iter().map(|y| sorted_overlap(&q, y)).collect();
+        for metric in METRICS {
+            for t in THRESHOLDS {
+                let expected: Vec<(u32, usize)> = (0..records.len())
+                    .filter(|&id| live[id])
+                    .filter(|&id| metric.accepts(t, overlaps[id], q.len(), sets[id].len()))
+                    .map(|id| {
+                        let d = metric.scaled_distance(overlaps[id], q.len(), sets[id].len());
+                        (id as u32, d)
+                    })
+                    .collect();
+                let query = SetQuery::new(qtext, metric, t);
+                for (how, index) in indexes {
+                    assert_eq!(
+                        index.search(&query).into_matches(),
+                        expected,
+                        "{metric:?} t={t} {mode:?} {how} diverged"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn long_records_match_brute_force() {
+    let corpus = long_corpus(160, 77);
+    let foreign = foreign_queries(&corpus, 78);
+    for mode in [TokenMode::Grams { q: 3 }, TokenMode::Words] {
+        let mut records = corpus.clone();
+        let mut built = SetSimilarityIndex::build_from(mode, &records);
+        let mut grown = SetSimilarityIndex::new(mode);
+        for r in &records {
+            grown.insert(r);
+        }
+        let mut live = vec![true; records.len()];
+        let queries: Vec<&Vec<u8>> = records.iter().step_by(4).chain(&foreign).collect();
+        assert_long_answers(
+            [("build_from", &built), ("insert", &grown)],
+            mode,
+            &records,
+            &live,
+            &queries,
+        );
+
+        // Remove every fifth record from both indexes, then grow them
+        // with near-duplicates of the survivors.
+        for id in (0..records.len() as u32).step_by(5) {
+            assert!(built.remove(id) && grown.remove(id));
+            live[id as usize] = false;
+        }
+        let mut rng = StdRng::seed_from_u64(79);
+        for base in (1..corpus.len()).step_by(5) {
+            let r = datagen::mutate(&corpus[base], rng.gen_range(1..=4), &mut rng);
+            assert_eq!(built.insert(&r), grown.insert(&r));
+            records.push(r);
+            live.push(true);
+        }
+        let queries: Vec<&Vec<u8>> = records.iter().step_by(4).chain(&foreign).collect();
+        assert_long_answers(
+            [
+                ("build_from, after removals", &built),
+                ("insert, after removals", &grown),
+            ],
+            mode,
+            &records,
+            &live,
+            &queries,
+        );
+    }
 }
