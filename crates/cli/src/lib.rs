@@ -262,9 +262,9 @@ pub struct ServeConfig {
     pub allow_shutdown: bool,
     /// Memory-map a loaded snapshot instead of reading it (`--mmap`,
     /// with `--load`): the instant-restart path through the
-    /// `passjoin-store` shim — page-granular lazy loading with
-    /// per-section CRCs and the deep structural scan deferred to a
-    /// background verifier (`fs::read` where mapping is unavailable).
+    /// `passjoin-store` shim — page-granular lazy loading with the
+    /// snapshot check (`verify_snapshot`) deferred to a background
+    /// verifier (`fs::read` where mapping is unavailable).
     pub mmap: bool,
     /// Persist the repl session's `:add`/`:rm` mutations as a delta
     /// checkpoint on the loaded snapshot's chain at exit (`--save-delta`,

@@ -614,8 +614,8 @@ fn obtain_index(config: &ServeConfig, obs: Option<&Arc<EngineObs>>) -> Result<An
             {
                 // `--mmap` means the full instant-restart path: mapped
                 // pages *and* deferred validation — the store's
-                // background verifier runs the per-section CRCs and the
-                // deep postings scan while queries are already served.
+                // background verifier runs the snapshot check while
+                // queries are already served.
                 let mut options = StoreOptions::new().mmap(config.mmap).instant(config.mmap);
                 if let Some(path) = &config.checkpoint_path {
                     options = options.checkpoint_base(path.clone());

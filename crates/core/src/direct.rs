@@ -336,10 +336,10 @@ impl DirectSegmentIndex {
     /// exactly, ids strictly ascending per run and below `universe`, and
     /// the recorded entry count equal to the actual total.
     ///
-    /// The default (hash-map) load path never needs this — it decodes
-    /// through the validating `restore_posting` API instead. The direct
-    /// load path calls it eagerly by default; O(1) "instant" opens defer
-    /// it to a background integrity pass.
+    /// A snapshot without the appendix never needs this — its postings
+    /// decode through the validating `restore_posting` API instead. The
+    /// online snapshot check runs it before an eager open returns, and on
+    /// a background thread after an instant one.
     pub fn validate_deep(&self, universe: usize) -> Result<(), &'static str> {
         let mut total = 0u64;
         let mut key_end = 0u64;

@@ -9,8 +9,8 @@
 //!   length > τ_max into τ_max+1 segments (§3.1/§3.2 of the paper, without
 //!   the scan's sliding-window eviction: all lengths stay resident). Its
 //!   one mutable form is a byte-keyed map ([`passjoin::OwnedSegmentIndex`]);
-//!   an index loaded with [`OnlineIndex::load_direct`] instead probes the
-//!   snapshot's sorted runs until its first mutation;
+//!   an index loaded from a v3 snapshot instead probes the file's sorted
+//!   runs until its first mutation;
 //! * a **short lane** — ids of strings with length ≤ τ_max, which cannot be
 //!   partitioned; queries check them brute-force (there are at most
 //!   `O(|Σ|^τ_max)` meaningfully distinct ones).
@@ -59,8 +59,8 @@ pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1024;
 ///   hash map. Every built index uses it.
 /// * [`KeyBackend::Direct`] — sorted-array postings binary-searched
 ///   straight out of a loaded snapshot buffer
-///   ([`passjoin::DirectSegmentIndex`]), never built in memory. Only
-///   reachable by loading a format-v3 snapshot's direct-probe appendix
+///   ([`passjoin::DirectSegmentIndex`]), never built in memory. Every
+///   snapshot with the direct-probe appendix (format v3) opens on it
 ///   (there is nothing to *build* — the buffer is the index); the first
 ///   mutation rebuilds the lane as [`KeyBackend::Owned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,15 +123,15 @@ impl SegmentStore {
     }
 
     /// The mutable map, rebuilding a direct store into one first. O(index)
-    /// once — exactly the replay cost [`OnlineIndex::load`] pays up front,
-    /// paid here only when a buffer-resident index is actually mutated.
+    /// once — the replay a v1/v2 load pays up front, paid here only when
+    /// a buffer-resident index is actually mutated.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's direct sections are structurally corrupt
-    /// — only reachable when deep validation was explicitly deferred (the
-    /// instant-load path) *and* the background integrity pass has not yet
-    /// rejected the file.
+    /// — only reachable on an instant open whose background
+    /// [`verify_snapshot`](crate::verify_snapshot) has not yet rejected
+    /// the file.
     fn owned_mut(&mut self) -> &mut OwnedSegmentIndex {
         if let SegmentStore::Direct(index) = self {
             let mut map = OwnedSegmentIndex::new(0, index.tau());
@@ -255,16 +255,15 @@ enum Stored {
 
 /// A string table served straight out of a loaded snapshot buffer: per-id
 /// `(offset, len)` span entries are decoded on access instead of being
-/// materialized into [`Inner::strings`] up front. This is what keeps the
-/// instant-restart open O(sections) — the span table (O(universe) to
-/// decode) is never walked until a mutation forces
-/// [`Inner::materialize`]. All offsets are relative to the whole file
-/// buffer ([`Inner::arena`]).
+/// materialized into [`Inner::strings`] up front. This is what keeps a
+/// snapshot open O(sections) — the span table (O(universe) to decode) is
+/// never walked until a mutation forces [`Inner::materialize`]. All
+/// offsets are relative to the whole file buffer ([`Inner::arena`]).
 ///
-/// Validation is deferred along with decoding: a span that escapes the
-/// arena section reads as a tombstone rather than slicing out of bounds,
-/// and the background verifier (not this accessor) is responsible for
-/// flagging the file.
+/// The accessor does not validate: a span that escapes the arena section
+/// reads as a tombstone rather than slicing out of bounds, and
+/// [`verify_snapshot`](crate::verify_snapshot) (not this accessor) is
+/// responsible for rejecting the file.
 #[derive(Debug, Clone)]
 struct MappedSpans {
     /// Byte offset of the span table within the buffer.
@@ -277,19 +276,14 @@ struct MappedSpans {
 
 impl MappedSpans {
     /// The whole-buffer span of `id`, or `None` for tombstones,
-    /// out-of-universe ids, and (deferred validation) spans that escape
-    /// the arena.
+    /// out-of-universe ids, and (unverified files) spans that escape the
+    /// arena.
     fn span(&self, buf: &[u8], id: StringId) -> Option<(usize, usize)> {
         let id = id as usize;
         if id >= self.universe {
             return None;
         }
-        let at = self.spans_start + id * crate::persist::SPAN_LEN;
-        let start = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-        if start == crate::persist::TOMBSTONE {
-            return None;
-        }
-        let len = u32::from_le_bytes(buf[at + 8..at + 12].try_into().unwrap()) as usize;
+        let (start, len) = crate::persist::span_entry(&buf[self.spans_start..], id)?;
         let start = usize::try_from(start).ok()?;
         if start
             .checked_add(len)
@@ -322,9 +316,9 @@ pub(crate) struct Inner {
     /// references too).
     arena_live_strings: usize,
     /// `strings[id]` is the string's bytes, or `None` once removed.
-    /// Empty while `mapped` is `Some` (instant-restart open): per-id
-    /// lookups go through the buffer-resident span table until the first
-    /// mutation materializes it here.
+    /// Empty while `mapped` is `Some` (a snapshot open of an all-long
+    /// collection): per-id lookups go through the buffer-resident span
+    /// table until the first mutation materializes it here.
     strings: Vec<Option<Stored>>,
     /// Total live string bytes (owned and arena-backed alike).
     string_bytes: u64,
@@ -334,8 +328,9 @@ pub(crate) struct Inner {
     /// `mapped` is `Some`: the lazy table is only used for snapshots
     /// whose posting count proves every live string is long.
     short: Vec<StringId>,
-    /// The lazy string table of an instant-restart open, `None` once
-    /// materialized (or for indices built/loaded eagerly).
+    /// The lazy string table of a snapshot open, `None` once
+    /// materialized (or for indices built in memory or holding short
+    /// strings).
     mapped: Option<MappedSpans>,
 }
 
@@ -870,8 +865,8 @@ impl OnlineIndex {
     }
 
     /// Which store the segment lane is in: [`KeyBackend::Owned`], or
-    /// [`KeyBackend::Direct`] for an index loaded with
-    /// [`OnlineIndex::load_direct`] and not yet mutated.
+    /// [`KeyBackend::Direct`] for an index loaded from a snapshot with the
+    /// direct-probe appendix (every v3 file) and not yet mutated.
     pub fn key_backend(&self) -> KeyBackend {
         self.inner.segments().backend()
     }

@@ -13,9 +13,9 @@
 //!
 //! * [`OnlineIndex`] — a dynamic, non-evicting index over an owned string
 //!   store: `insert` / `remove`, built via [`OnlineIndex::builder`]. Its
-//!   segment lane is one byte-keyed map; an index loaded with
-//!   [`OnlineIndex::load_direct`] probes the snapshot's sorted runs
-//!   instead until its first mutation ([`KeyBackend`]);
+//!   segment lane is one byte-keyed map; an index loaded from a v3
+//!   snapshot probes the file's sorted runs instead until its first
+//!   mutation ([`KeyBackend`]);
 //! * [`Queryable`] — **the** query surface, implemented by both
 //!   [`OnlineIndex`] and [`Snapshot`] over one execution engine: typed
 //!   [`SearchRequest`]s (per-query τ ≤ τ_max, top-k limits, count-only,
@@ -37,8 +37,10 @@
 //! * [`Snapshot`] — a cheap copy-on-write view for concurrent readers;
 //! * [`Snapshot::save`] / [`OnlineIndex::load`] — durable snapshots: a
 //!   versioned, checksummed on-disk format (`passjoin-persist`) that a
-//!   restarting process loads with zero-copy string-arena views instead
-//!   of re-partitioning the whole corpus;
+//!   restarting process opens in place — zero-copy strings, postings
+//!   probed out of the file — instead of re-partitioning the whole
+//!   corpus. The file decides how it opens, and one routine,
+//!   [`verify_snapshot`], checks it on every path;
 //! * [`EngineObs`] — opt-in observability (`passjoin-obs`, re-exported
 //!   here): a lock-free metrics registry (counters, gauges, log-scale
 //!   phase-duration histograms, Prometheus/JSON dumps) plus a
@@ -116,7 +118,7 @@ pub use passjoin_obs::{
     NoopTraceSink, Registry, Span, TraceEvent, TraceSink,
 };
 pub use passjoin_persist::PersistError;
-pub use persist::LoadMode;
+pub use persist::verify_snapshot;
 pub use request::{
     BatchBudget, BatchTotals, CacheOutcome, CachePolicy, Completion, ExecBudget, ExecStats,
     Parallelism, QueryOutcome, SearchRequest, SearchResponse,

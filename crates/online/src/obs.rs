@@ -38,8 +38,8 @@
 //! | `passjoin_index_epoch` | gauge | mutation epoch at the last record |
 //! | `passjoin_snapshot_save_bytes_total` / `…_load_bytes_total` | counter | snapshot file bytes written / read |
 //! | `passjoin_snapshot_save_sections_ns` / `…_save_encode_ns` / `…_save_write_ns` | histogram | save phases: string/span assembly, segment encoding, container write |
-//! | `passjoin_snapshot_load_read_ns` / `…_load_decode_ns` / `…_load_validate_ns` | histogram | load phases: file read, section decoding, cross-validation |
-//! | `passjoin_snapshot_section_meta_bytes_total` / `…_spans…` / `…_strings…` / `…_segments…` | counter | per-section payload bytes saved/loaded |
+//! | `passjoin_snapshot_load_read_ns` / `…_load_decode_ns` / `…_load_validate_ns` | histogram | load phases: file read, open (section decoding), `verify_snapshot` |
+//! | `passjoin_snapshot_section_meta_bytes_total` / `…_spans…` / `…_strings…` / `…_segments…` | counter | per-section payload bytes saved/loaded (`segments`: every posting section, 4 or 5 plus 6–9) |
 //!
 //! Phase attribution is exact by construction: `probe` is defined as the
 //! request's wall time minus the measured plan/verify/cache time, so the

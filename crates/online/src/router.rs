@@ -758,7 +758,8 @@ impl Queryable for ShardedIndex {
     }
 
     /// The first shard's store ([`KeyBackend::Owned`] for a router with
-    /// no shards); every shard the router builds or loads is owned.
+    /// no shards): every shard the router builds is owned, and every
+    /// shard it loads opens on the store its file carries.
     fn key_backend(&self) -> KeyBackend {
         self.shards
             .first()

@@ -1,6 +1,6 @@
 //! Differential harness for the two segment stores: an index whose segment
 //! lane probes a loaded snapshot's sorted runs ([`KeyBackend::Direct`],
-//! from [`OnlineIndex::load_direct`]) must be **byte-identical** to the
+//! from [`OnlineIndex::load`]) must be **byte-identical** to the
 //! built index's owned map ([`KeyBackend::Owned`]) on every query surface —
 //! same ids, same distances, same order — for every τ ≤ τ_max, on random,
 //! planted, and churned corpora, through the single, batched, parallel,
@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::reopen_direct;
+use common::{reopen_direct, strip_appendix};
 use passjoin_online::{
     CachePolicy, CollectSink, KeyBackend, Match, MatchSink, OnlineIndex, Parallelism, Queryable,
     SearchRequest,
@@ -210,28 +210,32 @@ proptest! {
 
     #[test]
     fn backends_agree_across_save_load(strings in dense_corpus(), tau_max in 1usize..4) {
-        // Both stores save the same bytes, and every reload of them —
-        // rebuilt or direct — answers alike.
+        // Both stores save the same bytes, and every reload of them — on
+        // the direct-probe appendix, or stripped of it so section 4 is
+        // decoded into the owned map — answers alike.
         let (owned, direct) = both(&strings, tau_max);
         let dir = std::env::temp_dir();
         let tag = std::process::id();
         let o_path = dir.join(format!("passjoin-diff-owned-{tag}-{:p}.snap", &owned));
         let d_path = dir.join(format!("passjoin-diff-direct-{tag}-{:p}.snap", &owned));
+        let s_path = dir.join(format!("passjoin-diff-stripped-{tag}-{:p}.snap", &owned));
         owned.save(&o_path).expect("save owned");
         direct.save(&d_path).expect("save direct");
-        let (o_bytes, d_bytes) = (std::fs::read(&o_path), std::fs::read(&d_path));
-        let o_loaded = OnlineIndex::load(&o_path).expect("load owned");
+        let (o_bytes, d_bytes) = (std::fs::read(&o_path).unwrap(), std::fs::read(&d_path).unwrap());
+        std::fs::write(&s_path, strip_appendix(&d_bytes)).unwrap();
+        let o_loaded = OnlineIndex::load(&o_path).expect("load owned save");
         let d_loaded = OnlineIndex::load(&d_path).expect("load direct save");
-        let d_direct = OnlineIndex::load_direct(&d_path).expect("direct-load direct save");
-        let _ = std::fs::remove_file(&o_path);
-        let _ = std::fs::remove_file(&d_path);
-        prop_assert_eq!(o_bytes.unwrap(), d_bytes.unwrap(), "stores save identical bytes");
-        prop_assert_eq!(o_loaded.key_backend(), KeyBackend::Owned);
-        prop_assert_eq!(d_loaded.key_backend(), KeyBackend::Owned);
-        prop_assert_eq!(d_direct.key_backend(), KeyBackend::Direct);
-        assert_all_paths_agree(&o_loaded, &d_direct, &strings);
-        assert_all_paths_agree(&owned, &d_direct, &strings);
-        assert_all_paths_agree(&d_loaded, &direct, &strings);
+        let s_loaded = OnlineIndex::load(&s_path).expect("load stripped direct save");
+        for path in [&o_path, &d_path, &s_path] {
+            let _ = std::fs::remove_file(path);
+        }
+        prop_assert_eq!(o_bytes, d_bytes, "stores save identical bytes");
+        prop_assert_eq!(o_loaded.key_backend(), KeyBackend::Direct);
+        prop_assert_eq!(d_loaded.key_backend(), KeyBackend::Direct);
+        prop_assert_eq!(s_loaded.key_backend(), KeyBackend::Owned);
+        assert_all_paths_agree(&s_loaded, &o_loaded, &strings);
+        assert_all_paths_agree(&owned, &d_loaded, &strings);
+        assert_all_paths_agree(&s_loaded, &direct, &strings);
     }
 }
 

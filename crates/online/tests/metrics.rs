@@ -3,7 +3,7 @@
 //! an answer.
 //!
 //! Pinned here, on both segment stores (a built index, and the same index
-//! reopened with `load_direct`):
+//! reopened with `load`):
 //!
 //! 1. **Registry ≡ ΣExecStats** — after any mix of single, batch
 //!    (serial and parallel), streaming, and batch-streaming requests,
@@ -68,7 +68,7 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// The segment stores an index under test serves from: as built, and
-/// saved and reopened with `load_direct`.
+/// saved and reopened with `load`.
 const STORES: [KeyBackend; 2] = [KeyBackend::Owned, KeyBackend::Direct];
 
 /// An index over `strings` on `store`, with `obs` attached (if any) only

@@ -2,14 +2,20 @@
 //! from the index it was saved from — byte-identical query results for
 //! **every** τ ≤ τ_max, identical stats, identical tombstones — on random
 //! and planted corpora, through churn, and the loaded index stays fully
-//! mutable. And every way a file can rot — truncation, any flipped byte,
-//! a wrong version, garbage — is rejected with a typed error, never a
+//! mutable. A saved file opens on its direct-probe appendix; the same
+//! file with the appendix stripped (the v2 layout) decodes its hash-map
+//! section into the owned map, and the round-trip properties run on
+//! both. And every way a file can rot — truncation, any flipped byte, a
+//! wrong version, garbage — is rejected with a typed error, never a
 //! panic.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use passjoin_online::{OnlineIndex, PersistError, Queryable};
+use common::strip_appendix;
+use passjoin_online::{KeyBackend, OnlineIndex, PersistError, Queryable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +43,31 @@ fn save_to_temp(index: &OnlineIndex, tag: &str) -> TempFile {
     let file = TempFile(temp_snapshot_path(tag));
     index.save(&file.0).expect("save must succeed");
     file
+}
+
+/// The snapshot at `file` with its direct-probe appendix stripped (see
+/// [`strip_appendix`]), as a second temp file.
+fn stripped(file: &TempFile, tag: &str) -> TempFile {
+    let out = TempFile(temp_snapshot_path(&format!("{tag}-stripped")));
+    std::fs::write(&out.0, strip_appendix(&std::fs::read(&file.0).unwrap())).unwrap();
+    out
+}
+
+/// Loads `file` on both stores — as saved (the direct-probe appendix)
+/// and stripped (section 4 or 5 decoded into the owned map) — and
+/// asserts each is equivalent to `original` over `queries`.
+fn assert_both_layouts_equivalent(
+    original: &OnlineIndex,
+    file: &TempFile,
+    tag: &str,
+    queries: &[Vec<u8>],
+) {
+    let direct = OnlineIndex::load(&file.0).expect("load must succeed");
+    assert_eq!(direct.key_backend(), KeyBackend::Direct);
+    assert_equivalent(original, &direct, queries);
+    let owned = OnlineIndex::load(&stripped(file, tag).0).expect("stripped load must succeed");
+    assert_eq!(owned.key_backend(), KeyBackend::Owned);
+    assert_equivalent(original, &owned, queries);
 }
 
 /// Saves `index` the way the retired interned backend laid snapshots out:
@@ -140,12 +171,11 @@ proptest! {
     fn round_trip_on_random_corpora(strings in small_corpus(), tau_max in 1usize..5) {
         let index = OnlineIndex::from_strings(strings.iter(), tau_max);
         let file = save_to_temp(&index, "random");
-        let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
         // Probe with the corpus itself plus off-corpus neighbours.
         let mut queries = strings.clone();
         queries.push(b"abab".to_vec());
         queries.push(Vec::new());
-        assert_equivalent(&index, &loaded, &queries);
+        assert_both_layouts_equivalent(&index, &file, "random", &queries);
     }
 
     #[test]
@@ -164,8 +194,7 @@ proptest! {
             }
         }
         let file = save_to_temp(&index, "churn");
-        let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
-        assert_equivalent(&index, &loaded, &strings);
+        assert_both_layouts_equivalent(&index, &file, "churn", &strings);
     }
 }
 
@@ -346,9 +375,13 @@ fn load_bytes(bytes: &[u8], tag: &str) -> Result<OnlineIndex, PersistError> {
     OnlineIndex::load(&file.0)
 }
 
+// The two sweeps below run on the sample in the v2 layout, where the
+// owned map is decoded from section 4; `direct_backend` sweeps the file
+// as saved, appendix included.
+
 #[test]
 fn rejects_truncation_at_every_length() {
-    let bytes = sample_snapshot_bytes();
+    let bytes = strip_appendix(&sample_snapshot_bytes());
     for cut in 0..bytes.len() {
         assert!(
             load_bytes(&bytes[..cut], "trunc").is_err(),
@@ -362,7 +395,7 @@ fn rejects_truncation_at_every_length() {
 fn rejects_every_flipped_byte() {
     // Every byte of a snapshot is covered by the header CRC or a section
     // CRC, so *any* single-byte corruption must surface as a typed error.
-    let bytes = sample_snapshot_bytes();
+    let bytes = strip_appendix(&sample_snapshot_bytes());
     for at in 0..bytes.len() {
         let mut flipped = bytes.clone();
         flipped[at] ^= 0x20;
@@ -597,7 +630,6 @@ fn missing_file_is_an_io_error() {
 /// loading.
 mod interned_backend {
     use super::*;
-    use passjoin_online::KeyBackend;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -606,12 +638,10 @@ mod interned_backend {
         fn round_trip_on_random_corpora(strings in small_corpus(), tau_max in 1usize..5) {
             let index = OnlineIndex::from_strings(strings.iter(), tau_max);
             let file = save_interned(&index, "interned-random");
-            let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
-            prop_assert_eq!(loaded.key_backend(), KeyBackend::Owned);
             let mut queries = strings.clone();
             queries.push(b"abab".to_vec());
             queries.push(Vec::new());
-            assert_equivalent(&index, &loaded, &queries);
+            assert_both_layouts_equivalent(&index, &file, "interned-random", &queries);
         }
 
         #[test]
@@ -630,9 +660,7 @@ mod interned_backend {
                 }
             }
             let file = save_interned(&index, "interned-churn");
-            let loaded = OnlineIndex::load(&file.0).expect("load must succeed");
-            prop_assert_eq!(loaded.key_backend(), KeyBackend::Owned);
-            assert_equivalent(&index, &loaded, &strings);
+            assert_both_layouts_equivalent(&index, &file, "interned-churn", &strings);
         }
     }
 
@@ -674,7 +702,7 @@ mod interned_backend {
         let file = save_interned(&index, "interned-det");
         for loaded in [
             OnlineIndex::load(&file.0).unwrap(),
-            OnlineIndex::load_direct(&file.0).unwrap(),
+            OnlineIndex::load(&stripped(&file, "interned-det").0).unwrap(),
         ] {
             let a = save_to_temp(&loaded, "interned-det-a");
             let b = save_to_temp(&loaded, "interned-det-b");
@@ -705,17 +733,26 @@ mod interned_backend {
     #[test]
     fn empty_interned_index_round_trips() {
         let file = save_interned(&OnlineIndex::new(2), "interned-empty");
-        let loaded = OnlineIndex::load(&file.0).unwrap();
-        assert!(loaded.is_empty());
-        assert_eq!(loaded.key_backend(), KeyBackend::Owned);
-        assert!(loaded.matches(b"anything", 2).is_empty());
+        for (file, backend) in [
+            (file.0.clone(), KeyBackend::Direct),
+            (
+                stripped(&file, "interned-empty").0.clone(),
+                KeyBackend::Owned,
+            ),
+        ] {
+            let loaded = OnlineIndex::load(&file).unwrap();
+            assert!(loaded.is_empty());
+            assert_eq!(loaded.key_backend(), backend);
+            assert!(loaded.matches(b"anything", 2).is_empty());
+        }
     }
 
     /// A golden v3 snapshot written by the interned backend before its
     /// retirement: the five-string collection of the v1/v2 fixtures, id 2
-    /// removed. It must load through both load paths, answer
-    /// byte-identically to an owned build of the same strings, survive a
-    /// first mutation, and re-save as exactly that owned build's file.
+    /// removed. It must load on both stores (as written, and with the
+    /// appendix stripped so section 5 is decoded), answer byte-identically
+    /// to an owned build of the same strings, survive a first mutation,
+    /// and re-save as exactly that owned build's file.
     #[test]
     fn v3_interned_snapshots_still_load() {
         let bytes = include_bytes!("data/v3-interned.snap");
@@ -739,8 +776,8 @@ mod interned_backend {
             .chain([b"pass".to_vec()])
             .collect();
         for mut loaded in [
-            OnlineIndex::load(&file.0).expect("rebuild load"),
-            OnlineIndex::load_direct(&file.0).expect("direct load"),
+            OnlineIndex::load(&file.0).expect("direct load"),
+            OnlineIndex::load(&stripped(&file, "v3-golden").0).expect("section 5 load"),
         ] {
             assert_equivalent(&fresh, &loaded, &queries);
             assert_eq!(loaded.get(2), None, "tombstone round-trips");
@@ -764,15 +801,24 @@ mod interned_backend {
         include_bytes!("data/v3-interned.snap").to_vec()
     }
 
+    /// The fixture as written, and stripped to the v2 layout in which
+    /// section 5 is decoded rather than only checksummed.
+    fn interned_layouts() -> [Vec<u8>; 2] {
+        let bytes = interned_snapshot_bytes();
+        let stripped = strip_appendix(&bytes);
+        [bytes, stripped]
+    }
+
     #[test]
     fn rejects_truncation_at_every_length() {
-        let bytes = interned_snapshot_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                load_bytes(&bytes[..cut], "interned-trunc").is_err(),
-                "truncation to {cut}/{} bytes must be rejected",
-                bytes.len()
-            );
+        for bytes in interned_layouts() {
+            for cut in 0..bytes.len() {
+                assert!(
+                    load_bytes(&bytes[..cut], "interned-trunc").is_err(),
+                    "truncation to {cut}/{} bytes must be rejected",
+                    bytes.len()
+                );
+            }
         }
     }
 
@@ -781,14 +827,15 @@ mod interned_backend {
         // The dictionary + id-keyed posting section is covered by its CRC
         // like every other section: any single-byte corruption must
         // surface as a typed error, never a panic or a silent wrong index.
-        let bytes = interned_snapshot_bytes();
-        for at in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[at] ^= 0x20;
-            assert!(
-                load_bytes(&flipped, "interned-flip").is_err(),
-                "flipped byte at offset {at} must be rejected"
-            );
+        for bytes in interned_layouts() {
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0x20;
+                assert!(
+                    load_bytes(&flipped, "interned-flip").is_err(),
+                    "flipped byte at offset {at} must be rejected"
+                );
+            }
         }
     }
 
@@ -947,16 +994,15 @@ mod interned_backend {
     }
 }
 
-/// The direct-probe load path (format v3, sections 6–9): a
-/// [`OnlineIndex::load_direct`] of any snapshot must be indistinguishable
-/// from the [`OnlineIndex::load`] of the same file — byte-identical query
-/// results, identical metadata, byte-identical re-saves — while never
-/// replaying a posting; it must stay fully mutable through backend
-/// promotion; and the appendix gets the same corruption/lying-producer
-/// treatment as every other section.
+/// The direct-probe store (format v3, sections 6–9): a load of any
+/// snapshot must be indistinguishable from the load of the same file with
+/// the appendix stripped, whose postings are decoded into the owned map —
+/// byte-identical query results, identical metadata, byte-identical
+/// re-saves — while never replaying a posting; it must stay fully mutable
+/// through backend promotion; and the appendix gets the same
+/// corruption/lying-producer treatment as every other section.
 mod direct_backend {
     use super::*;
-    use passjoin_online::KeyBackend;
 
     /// The section layouts a snapshot's hash-map postings come in: the
     /// owned section 4 every save writes, or the interned section 5 of
@@ -992,8 +1038,9 @@ mod direct_backend {
                 }
             }
             let file = save_as(&index, origin, "direct-diff");
-            let rebuilt = OnlineIndex::load(&file.0).expect("rebuild load must succeed");
-            let direct = OnlineIndex::load_direct(&file.0).expect("direct load must succeed");
+            let rebuilt =
+                OnlineIndex::load(&stripped(&file, "direct-diff").0).expect("rebuild load must succeed");
+            let direct = OnlineIndex::load(&file.0).expect("direct load must succeed");
             prop_assert_eq!(rebuilt.key_backend(), KeyBackend::Owned);
             prop_assert_eq!(direct.key_backend(), KeyBackend::Direct);
             let mut queries = strings.clone();
@@ -1015,7 +1062,8 @@ mod direct_backend {
             index.remove(9);
             let owned = save_to_temp(&index, "direct-resave-owned");
             let file = save_as(&index, origin, "direct-resave");
-            let direct = OnlineIndex::load_direct(&file.0).unwrap();
+            let direct = OnlineIndex::load(&file.0).unwrap();
+            assert_eq!(direct.key_backend(), KeyBackend::Direct);
             let resave = save_to_temp(&direct, "direct-resave-out");
             assert_eq!(
                 std::fs::read(&owned.0).unwrap(),
@@ -1031,8 +1079,8 @@ mod direct_backend {
             let strings = planted_corpus(150, 23, 2);
             let index = OnlineIndex::from_strings(strings.iter(), 2);
             let file = save_as(&index, origin, "direct-promote");
-            let mut direct = OnlineIndex::load_direct(&file.0).unwrap();
-            let mut twin = OnlineIndex::load(&file.0).unwrap();
+            let mut direct = OnlineIndex::load(&file.0).unwrap();
+            let mut twin = OnlineIndex::load(&stripped(&file, "direct-promote").0).unwrap();
             assert_eq!(direct.key_backend(), KeyBackend::Direct);
 
             // Queries before mutation leave the lane untouched.
@@ -1065,7 +1113,8 @@ mod direct_backend {
     #[test]
     fn empty_index_loads_direct() {
         let file = save_to_temp(&OnlineIndex::new(2), "direct-empty");
-        let loaded = OnlineIndex::load_direct(&file.0).unwrap();
+        let loaded = OnlineIndex::load(&file.0).unwrap();
+        assert_eq!(loaded.key_backend(), KeyBackend::Direct);
         assert!(loaded.is_empty());
         assert!(loaded.matches(b"anything", 2).is_empty());
     }
@@ -1077,7 +1126,7 @@ mod direct_backend {
             let file = TempFile(temp_snapshot_path("direct-trunc"));
             std::fs::write(&file.0, &bytes[..cut]).unwrap();
             assert!(
-                OnlineIndex::load_direct(&file.0).is_err(),
+                OnlineIndex::load(&file.0).is_err(),
                 "truncation to {cut}/{} bytes must be rejected",
                 bytes.len()
             );
@@ -1086,9 +1135,8 @@ mod direct_backend {
 
     #[test]
     fn direct_load_rejects_every_flipped_byte() {
-        // Sections 6–9 are CRC-covered like the rest of the file, and the
-        // eager open checks them even though the direct path never decodes
-        // the hash-map section.
+        // Every section is CRC-covered, and the eager open checks them
+        // all — section 4 too, although the direct store never decodes it.
         let bytes = sample_snapshot_bytes();
         for at in 0..bytes.len() {
             let mut flipped = bytes.clone();
@@ -1096,7 +1144,7 @@ mod direct_backend {
             let file = TempFile(temp_snapshot_path("direct-flip"));
             std::fs::write(&file.0, &flipped).unwrap();
             assert!(
-                OnlineIndex::load_direct(&file.0).is_err(),
+                OnlineIndex::load(&file.0).is_err(),
                 "flipped byte at offset {at} must be rejected"
             );
         }
@@ -1160,7 +1208,7 @@ mod direct_backend {
             }
             let file = TempFile(temp_snapshot_path(tag));
             writer.save(&file.0)?;
-            OnlineIndex::load_direct(&file.0)
+            OnlineIndex::load(&file.0)
         }
 
         #[test]
@@ -1191,6 +1239,18 @@ mod direct_backend {
                 &[(4, 1, b"ab", &[1]), (4, 2, b"cd", &[1])];
             assert!(matches!(
                 craft(2, postings, "direct-crafted-tombstone"),
+                Err(PersistError::Corrupt { .. })
+            ));
+        }
+
+        #[test]
+        fn rejects_postings_with_mismatched_length() {
+            // Well-formed runs for a 5-byte string, referencing the 4-byte
+            // live id: probing would slice it with 5-length geometry.
+            let postings: &[(usize, usize, &[u8], &[StringId])] =
+                &[(5, 1, b"ab", &[0]), (5, 2, b"cde", &[0])];
+            assert!(matches!(
+                craft(2, postings, "direct-crafted-length"),
                 Err(PersistError::Corrupt { .. })
             ));
         }
@@ -1241,20 +1301,22 @@ mod direct_backend {
             let out = TempFile(temp_snapshot_path("direct-dir-lie"));
             writer.save(&out.0).unwrap();
             assert!(matches!(
-                OnlineIndex::load_direct(&out.0),
+                OnlineIndex::load(&out.0),
                 Err(PersistError::Corrupt { .. })
             ));
-            // The rebuild path never reads the appendix and still loads.
-            OnlineIndex::load(&out.0).expect("rebuild load ignores the appendix");
+            // Without the appendix the file decodes section 4 and loads.
+            let bytes = strip_appendix(&std::fs::read(&out.0).unwrap());
+            let loaded = load_bytes(&bytes, "direct-dir-lie-stripped").expect("section 4 loads");
+            assert_eq!(loaded.key_backend(), KeyBackend::Owned);
         }
     }
 
     /// Golden v2 snapshots written by the pre-appendix build, with owned
-    /// and interned keys: they must keep loading on the rebuild path (both
-    /// as owned indices), and the direct path must report the appendix
-    /// missing — never silently rebuild.
+    /// and interned keys: without sections 6–9 they load by decoding
+    /// section 4 or 5 into the owned map, and a re-save writes v3 with
+    /// the appendix, which loads on the direct store.
     #[test]
-    fn v2_snapshots_still_load_and_direct_reports_missing() {
+    fn v2_snapshots_still_load_without_the_appendix() {
         for bytes in [
             &include_bytes!("data/v2-owned.snap")[..],
             &include_bytes!("data/v2-interned.snap")[..],
@@ -1275,18 +1337,9 @@ mod direct_backend {
                 }
             }
 
-            // No appendix → the direct path refuses rather than rebuilds.
-            let file = TempFile(temp_snapshot_path("v2-direct"));
-            std::fs::write(&file.0, bytes).unwrap();
-            assert!(matches!(
-                OnlineIndex::load_direct(&file.0),
-                Err(PersistError::MissingSection { .. })
-            ));
-
-            // A re-save of the v2-loaded index writes v3 with the appendix
-            // and becomes direct-loadable.
             let resave = save_to_temp(&loaded, "v2-resave");
-            let direct = OnlineIndex::load_direct(&resave.0).unwrap();
+            let direct = OnlineIndex::load(&resave.0).unwrap();
+            assert_eq!(direct.key_backend(), KeyBackend::Direct);
             assert_eq!(direct.matches(b"pass-join", 1).len(), 2);
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! Pinned here, for shard counts {1, 2, 7} and both partitioning policies,
 //! against a single index on both segment stores (built, and reopened with
-//! `load_direct`):
+//! `load`):
 //!
 //! 1. **Byte-identical answers** — for every request shape (full, top-k,
 //!    count-only, streaming) and every `τ ≤ τ_max`, the router's matches,
@@ -56,7 +56,7 @@ fn single(strings: &[Vec<u8>]) -> OnlineIndex {
 }
 
 /// The single-index reference on both segment stores: built, and reopened
-/// with `load_direct`.
+/// with `load`.
 fn single_stores(strings: &[Vec<u8>]) -> [OnlineIndex; 2] {
     let built = single(strings);
     let direct = common::reopen_direct(&built);
@@ -552,7 +552,8 @@ fn interned_router_snapshots_still_load() {
 
     let mut loaded = ShardedIndex::load_sharded(&golden).expect("interned router must load");
     assert_eq!(loaded.shard_count(), 2);
-    assert_eq!(loaded.key_backend(), KeyBackend::Owned);
+    // The v3 shards carry the direct-probe appendix, so they open on it.
+    assert_eq!(loaded.key_backend(), KeyBackend::Direct);
     assert_eq!(loaded.len(), fresh.len());
     for i in 0..2 {
         assert_eq!(loaded.shard_band(i), fresh.shard_band(i));

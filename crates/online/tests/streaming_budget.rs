@@ -1,7 +1,7 @@
 //! Property suite for the streaming & budgeted query surface.
 //!
 //! Three contracts are pinned here, on both segment stores (a built
-//! index, and the same index reopened with `load_direct`), for every
+//! index, and the same index reopened with `load`), for every
 //! `τ ≤ τ_max`, on random and planted corpora:
 //!
 //! 1. **Streaming ≡ buffered** — collecting `search_streaming`'s

@@ -170,16 +170,14 @@ pub fn encode_direct_owned<K: SegmentKey + std::borrow::Borrow<[u8]> + Ord>(
 /// Decodes the direct-probe appendix of `file` into a
 /// [`DirectSegmentIndex`] probing the file's own buffer.
 ///
-/// The directory section is parsed and cross-checked eagerly (scheme,
-/// τ, run-table geometry, blob sizes — all O(#lengths)); the run table,
-/// key blob, and id blob are *not* walked. Pass `deep_universe` to run
-/// [`DirectSegmentIndex::validate_deep`] before returning — the default
-/// load path does, the O(1) instant path defers it to a background
-/// integrity pass and relies on the probe-time bounds checks meanwhile.
+/// The directory section is parsed and cross-checked (scheme, τ,
+/// run-table geometry, blob sizes — all O(#lengths)); the run table, key
+/// blob, and id blob are *not* walked. Probes stay bounds-checked;
+/// [`DirectSegmentIndex::validate_deep`] is the full structural scan,
+/// which the snapshot's validation routine runs.
 pub fn decode_direct(
     file: &SnapshotFile,
     expected_tau: usize,
-    deep_universe: Option<usize>,
 ) -> Result<DirectSegmentIndex, PersistError> {
     const CONTEXT: &str = "direct postings directory";
     let corrupt = |context: &'static str| PersistError::Corrupt { context };
@@ -231,7 +229,7 @@ pub fn decode_direct(
         return Err(corrupt("direct id blob length disagrees with directory"));
     }
 
-    let index = DirectSegmentIndex::from_raw_parts(
+    DirectSegmentIndex::from_raw_parts(
         file.buffer().clone(),
         scheme,
         tau,
@@ -242,11 +240,7 @@ pub fn decode_direct(
         keys,
         ids,
     )
-    .map_err(corrupt)?;
-    if let Some(universe) = deep_universe {
-        index.validate_deep(universe).map_err(corrupt)?;
-    }
-    Ok(index)
+    .map_err(corrupt)
 }
 
 /// True when `file` carries the direct-probe appendix (v3 snapshots

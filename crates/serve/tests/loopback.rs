@@ -2,7 +2,7 @@
 //! client, pinned against the offline `Queryable` ground truth.
 //!
 //! The contracts exercised here, on both segment stores (a built index,
-//! and the same index reopened with `OnlineIndex::load_direct`):
+//! and the same index reopened with `OnlineIndex::load`):
 //!
 //! 1. **Byte-identity** — for every request shape (full, top-k,
 //!    count-only) the server's response lines are *byte-identical* to
@@ -70,7 +70,7 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// An index over `strings` on `store`: as built, or saved and reopened
-/// with `load_direct` so its segment lane probes the snapshot's runs.
+/// with `load` so its segment lane probes the snapshot's runs.
 fn build(strings: &[Vec<u8>], tau_max: usize, store: KeyBackend) -> OnlineIndex {
     let built = OnlineIndex::from_strings(strings.iter(), tau_max);
     if store == KeyBackend::Owned {
@@ -82,7 +82,7 @@ fn build(strings: &[Vec<u8>], tau_max: usize, store: KeyBackend) -> OnlineIndex 
         &built
     ));
     built.save(&path).expect("save for a direct reopen");
-    let reopened = OnlineIndex::load_direct(&path);
+    let reopened = OnlineIndex::load(&path);
     let _ = std::fs::remove_file(&path);
     let reopened = reopened.expect("direct reopen");
     assert_eq!(reopened.key_backend(), store);

@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 use passjoin::sink::MatchSink;
 use passjoin_obs::{Counter, Gauge, Histogram, Registry};
 use passjoin_online::{
-    EngineObs, ExecSource, KeyBackend, LoadMode, OnlineIndex, OnlineStats, QueryOutcome, Queryable,
-    SearchRequest, SearchResponse,
+    verify_snapshot, EngineObs, ExecSource, KeyBackend, OnlineIndex, OnlineStats, QueryOutcome,
+    Queryable, SearchRequest, SearchResponse,
 };
-use passjoin_persist::{segdirect, DeltaMeta, DeltaOp, PersistError, SnapshotFile};
+use passjoin_persist::{DeltaMeta, DeltaOp, PersistError, SnapshotFile};
 use sj_common::StringId;
 
 use crate::delta::{
@@ -103,11 +103,12 @@ pub struct OpenOptions {
     /// Map the base snapshot instead of reading it (`mmap(2)`; falls
     /// back to a read where mapping is unavailable).
     pub mmap: bool,
-    /// Instant restart: defer per-section CRC validation and the deep
-    /// structural scan of the direct postings to a background thread,
-    /// so open cost is O(sections), not O(bytes). Queries are served
-    /// immediately from the shallow-validated (bounds-checked) view;
-    /// see [`CheckpointedIndex::verification`] for the caveat.
+    /// Instant restart: run the snapshot check
+    /// ([`verify_snapshot`]: section CRCs, span table, structural scan,
+    /// postings-vs-strings cross-checks) on a background thread instead
+    /// of before open returns, so a v3 open costs O(sections), not
+    /// O(bytes). Queries are served immediately from the bounds-checked
+    /// view; see [`CheckpointedIndex::verification`] for the caveat.
     pub instant: bool,
     /// Anchor the delta chain at this path instead of the base snapshot
     /// (`<anchor>.delta-1`, …) — for read-only snapshot locations, or to
@@ -119,7 +120,7 @@ pub struct OpenOptions {
 }
 
 impl OpenOptions {
-    /// Default options: buffered read, eager validation, direct load.
+    /// Default options: buffered read, validation before open returns.
     pub fn new() -> Self {
         Self::default()
     }
@@ -163,7 +164,7 @@ struct LogState {
 pub enum VerifyState {
     /// Still running (or never scheduled — eager opens are born `Ok`).
     Pending,
-    /// Every section CRC and the deep structural scan passed.
+    /// [`verify_snapshot`] passed.
     Ok,
     /// The file failed validation; `what` is the failing invariant.
     Failed {
@@ -187,11 +188,12 @@ impl CheckpointedIndex {
     /// Opens `base` and replays its delta chain, recovering exactly the
     /// state of the last completed checkpoint.
     ///
-    /// The base loads via the v3 direct appendix (no posting replay); a
-    /// v2 snapshot without the appendix falls back to the rebuild path.
-    /// With [`OpenOptions::instant`], CRC and deep validation run on a
-    /// background thread and open returns as soon as the metadata
-    /// sections parse.
+    /// The base opens on the store the file carries, as
+    /// [`OnlineIndex::load`] does: the v3 direct appendix (no posting
+    /// replay), or for v1/v2 files section 4 or 5 decoded into the owned
+    /// map. [`verify_snapshot`] runs before this returns — or, with
+    /// [`OpenOptions::instant`], on a background thread, for every format
+    /// version.
     pub fn open(base: impl AsRef<Path>, options: OpenOptions) -> Result<Self, PersistError> {
         let base = base.as_ref().to_path_buf();
         let anchor = options
@@ -206,42 +208,16 @@ impl CheckpointedIndex {
             .map(|r| Arc::new(EngineObs::with_registry(Arc::clone(r))));
 
         let (buf, _mapped) = open_bytes(&base, options.mmap)?;
-        let file = if options.instant {
-            SnapshotFile::parse_lazy(buf)?
-        } else {
-            SnapshotFile::parse(buf)?
-        };
-        let mode = if segdirect::has_direct_sections(&file) {
-            LoadMode::Direct {
-                deep_validate: !options.instant,
-            }
-        } else {
-            LoadMode::Rebuild
-        };
-        let mut index = match &engine_obs {
-            Some(obs) => OnlineIndex::from_snapshot_file_with(&file, mode, Arc::clone(obs))?,
-            None => OnlineIndex::from_snapshot_file(&file, mode)?,
-        };
-
-        let verify = Arc::new(Mutex::new(
-            if options.instant && mode != LoadMode::Rebuild {
-                VerifyState::Pending
-            } else {
-                VerifyState::Ok
-            },
-        ));
-        if matches!(*lock(&verify), VerifyState::Pending) {
-            // The deep scan needs the *base* universe (chain replay
-            // grows the table afterwards).
-            let (_, base_universe) = replay_state(&index);
-            spawn_verifier(
-                file,
-                index.tau_max(),
-                base_universe as usize,
-                Arc::clone(&verify),
-                store_obs.clone(),
-            );
+        let file = SnapshotFile::parse_lazy(buf)?;
+        if !options.instant {
+            verify_snapshot(&file, engine_obs.as_deref())?;
         }
+        let mut index = OnlineIndex::from_snapshot_file(&file, engine_obs.clone())?;
+        let verify = if options.instant {
+            spawn_verifier(file, engine_obs, store_obs.clone())
+        } else {
+            Arc::new(Mutex::new(VerifyState::Ok))
+        };
 
         let chain = find_chain(&anchor);
         let mut replayed = 0u64;
@@ -482,22 +458,18 @@ impl std::fmt::Debug for CheckpointedIndex {
     }
 }
 
-/// Runs the full integrity pass an instant open deferred: every section
-/// CRC, then the deep structural scan of the direct postings, off the
-/// serving path.
+/// Runs the check an instant open deferred — [`verify_snapshot`], the
+/// same routine an eager open runs before returning — off the serving
+/// path; returns the slot it reports in.
 fn spawn_verifier(
     file: SnapshotFile,
-    tau_max: usize,
-    universe: usize,
-    slot: Arc<Mutex<VerifyState>>,
+    engine_obs: Option<Arc<EngineObs>>,
     obs: Option<StoreObs>,
-) {
+) -> Arc<Mutex<VerifyState>> {
+    let slot = Arc::new(Mutex::new(VerifyState::Pending));
     let thread_slot = Arc::clone(&slot);
     let run = move || {
-        let outcome = file
-            .verify_all()
-            .and_then(|()| segdirect::decode_direct(&file, tau_max, Some(universe)).map(|_| ()));
-        let state = match outcome {
+        let state = match verify_snapshot(&file, engine_obs.as_deref()) {
             Ok(()) => VerifyState::Ok,
             Err(e) => {
                 if let Some(obs) = &obs {
@@ -521,6 +493,7 @@ fn spawn_verifier(
             what: "could not spawn the verification thread".into(),
         };
     }
+    slot
 }
 
 /// The background checkpoint thread: drains the op log every `interval`

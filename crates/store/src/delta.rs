@@ -135,21 +135,6 @@ pub fn apply_delta(
     Ok(())
 }
 
-/// Loads `base` with the default (fully validated, rebuild) load path
-/// and replays its whole chain. The simple entry for tools that want
-/// "the state as of the last checkpoint" without the serving wrapper —
-/// the CLI's auto chain detection uses it. Returns the index and the
-/// number of chain files replayed.
-pub fn load_chain(base: &Path) -> Result<(OnlineIndex, usize), PersistError> {
-    let mut index = OnlineIndex::load(base)?;
-    let chain = find_chain(base);
-    for path in &chain {
-        let (meta, ops) = read_delta_file(path)?;
-        apply_delta(&mut index, &meta, &ops)?;
-    }
-    Ok((index, chain.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,11 @@
 //!   (with a `fs::read` fallback everywhere mapping is unavailable);
 //! * [`delta`] — delta-checkpoint *chains*: `<base>.delta-1`, `-2`, …
 //!   placement, gap-safe discovery, and verified replay of the
-//!   insert/remove log onto a loaded base ([`load_chain`] is the
-//!   one-call recovery path);
-//! * [`checkpoint`] — the serving wrapper: [`CheckpointedIndex`]
-//!   queries like any [`Queryable`](passjoin_online::Queryable), logs
-//!   every mutation, and drains the log to the next delta file;
+//!   insert/remove log onto a loaded base;
+//! * [`checkpoint`] — the serving wrapper: [`CheckpointedIndex`] opens
+//!   a snapshot on the one open path, replays its chain, queries like
+//!   any [`Queryable`](passjoin_online::Queryable), logs every
+//!   mutation, and drains the log to the next delta file;
 //!   [`Checkpointer`] does so periodically on a background thread and
 //!   once more at shutdown, with `passjoin_store_*` metrics.
 //!
@@ -24,7 +24,10 @@
 //! straight out of the loaded buffer, no hash-map rebuild) the restart
 //! path is: map the base snapshot, parse the section table, replay the
 //! delta chain — and serve, with the bulk of the file faulted in lazily
-//! as queries touch it.
+//! as queries touch it. An eager open runs
+//! [`verify_snapshot`](passjoin_online::verify_snapshot) before it
+//! returns; an instant open ([`OpenOptions::instant`]) runs the same
+//! check on a background thread ([`CheckpointedIndex::verification`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -48,32 +51,5 @@ pub mod checkpoint;
 pub mod delta;
 pub mod mmap;
 
-use std::path::Path;
-
-use passjoin_online::{LoadMode, OnlineIndex};
-use passjoin_persist::{PersistError, SnapshotFile};
-
 pub use checkpoint::{CheckpointedIndex, Checkpointer, OpenOptions, StoreObs, VerifyState};
-pub use delta::{delta_path, find_chain, load_chain};
-pub use mmap::{map_file, open_bytes, read_file};
-
-/// Loads a snapshot through the instant-restart path without the
-/// serving wrapper: mmap (where available), lazy CRC validation,
-/// direct postings, no chain replay. The caller owns the trade-off
-/// documented on [`CheckpointedIndex::verification`]: integrity checks
-/// beyond the header and metadata sections have not run yet.
-///
-/// Falls back to the rebuild path for pre-v3 snapshots (no direct
-/// appendix).
-pub fn open_instant(path: impl AsRef<Path>) -> Result<OnlineIndex, PersistError> {
-    let (buf, _) = open_bytes(path.as_ref(), true)?;
-    let file = SnapshotFile::parse_lazy(buf)?;
-    let mode = if passjoin_persist::segdirect::has_direct_sections(&file) {
-        LoadMode::Direct {
-            deep_validate: false,
-        }
-    } else {
-        LoadMode::Rebuild
-    };
-    OnlineIndex::from_snapshot_file(&file, mode)
-}
+pub use delta::{delta_path, find_chain};

@@ -1,15 +1,19 @@
 //! End-to-end tests of the instant-restart subsystem: checkpoint chains,
-//! crash recovery, load-mode parity, and hostile delta files.
+//! crash recovery, open-path parity, instant-open verification, and
+//! hostile delta files.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use passjoin_obs::Registry;
-use passjoin_online::{OnlineIndex, PersistError, Queryable, SearchRequest};
+use passjoin_online::{
+    EngineObs, KeyBackend, OnlineIndex, PersistError, Queryable, SearchRequest, ShardBy,
+    ShardedIndex,
+};
+use passjoin_store::delta::{apply_delta, read_delta_file};
 use passjoin_store::{
-    delta_path, find_chain, load_chain, open_instant, CheckpointedIndex, Checkpointer, OpenOptions,
-    VerifyState,
+    delta_path, find_chain, CheckpointedIndex, Checkpointer, OpenOptions, VerifyState,
 };
 
 /// A scratch directory that cleans up after itself.
@@ -167,10 +171,14 @@ fn checkpoint_chain_roundtrips_across_restarts() {
         assert_equivalent(&store, &twin, name);
     }
 
-    // And the unwrapped recovery path agrees too.
-    let (plain, replayed) = load_chain(&base).unwrap();
-    assert_eq!(replayed, 2);
-    assert_equivalent(&plain, &twin, "load_chain");
+    // And the unwrapped recovery path agrees too: a plain load with the
+    // chain replayed link by link.
+    let mut plain = OnlineIndex::load(&base).unwrap();
+    for link in find_chain(&base) {
+        let (meta, ops) = read_delta_file(&link).unwrap();
+        apply_delta(&mut plain, &meta, &ops).unwrap();
+    }
+    assert_equivalent(&plain, &twin, "load + replay");
 }
 
 #[test]
@@ -236,32 +244,6 @@ fn background_checkpointer_drains_on_stop() {
 }
 
 #[test]
-fn open_modes_agree_with_the_plain_loader() {
-    let scratch = Scratch::new("mode-parity");
-    let base = scratch.path("index.snap");
-    let twin = build_index(2, &corpus(90));
-    twin.save(&base).unwrap();
-
-    let plain = OnlineIndex::load(&base).unwrap();
-    let mapped = CheckpointedIndex::open(&base, OpenOptions::new().mmap(true)).unwrap();
-    let instant = open_instant(&base).unwrap();
-    assert_equivalent(&mapped, &plain, "mapped open");
-    assert_equivalent(&instant, &plain, "open_instant");
-
-    // Batched queries agree too (the engine path, not just `matches`).
-    let reqs: Vec<SearchRequest> = probe_queries()
-        .into_iter()
-        .map(|q| SearchRequest::new(q, 2))
-        .collect();
-    let a = plain.search_batch(&reqs);
-    let b = mapped.search_batch(&reqs);
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        assert_eq!(x.matches, y.matches);
-        assert_eq!(x.count, y.count);
-    }
-}
-
-#[test]
 fn instant_open_stays_mutable_and_materializes() {
     let scratch = Scratch::new("instant-mutate");
     let base = scratch.path("index.snap");
@@ -270,20 +252,22 @@ fn instant_open_stays_mutable_and_materializes() {
 
     // The instant open serves strings lazily off the mapped span table;
     // parity must hold before any materialization…
-    let mut instant = open_instant(&base).unwrap();
+    let instant =
+        CheckpointedIndex::open(&base, OpenOptions::new().mmap(true).instant(true)).unwrap();
     assert_equivalent(&instant, &twin, "pristine instant open");
 
     // …and the first mutation (which materializes the table and rebuilds
     // the accounting from the spans actually decoded) must keep it in
     // lockstep with the eagerly built twin, including tombstone counts.
     apply_to_twin(&mut twin, ROUND_ONE);
-    apply_to_twin(&mut instant, ROUND_ONE);
+    apply_to_store(&instant, ROUND_ONE);
     assert_equivalent(&instant, &twin, "after materializing mutations");
     assert_eq!(instant.stats().tombstones, twin.stats().tombstones);
+    assert_eq!(instant.wait_for_verification(), VerifyState::Ok);
 
     // A save of the materialized state round-trips like any other.
     let resaved = scratch.path("resaved.snap");
-    instant.save(&resaved).unwrap();
+    instant.save_full(&resaved).unwrap();
     let reloaded = OnlineIndex::load(&resaved).unwrap();
     assert_equivalent(&reloaded, &twin, "resaved after materialization");
 }
@@ -312,7 +296,8 @@ fn hostile_spans_read_as_tombstones_on_the_lazy_path() {
     // Deferred validation must stay memory-safe: the hostile span reads
     // as a tombstone, so queries (whose postings still reference id 7)
     // skip it instead of slicing out of bounds.
-    let mut instant = open_instant(&base).unwrap();
+    let instant =
+        CheckpointedIndex::open(&base, OpenOptions::new().mmap(true).instant(true)).unwrap();
     for q in probe_queries() {
         let _ = instant.matches(&q, 2);
     }
@@ -326,6 +311,11 @@ fn hostile_spans_read_as_tombstones_on_the_lazy_path() {
     instant.insert(b"record-0030-delta");
     assert!(!instant.remove(7), "hostile span materializes as tombstone");
     assert_eq!(instant.len(), 30, "29 survivors + 1 insert");
+    // And the background check rejects the file.
+    assert!(matches!(
+        instant.wait_for_verification(),
+        VerifyState::Failed { .. }
+    ));
 }
 
 #[test]
@@ -510,8 +500,9 @@ fn v2_snapshots_open_through_the_rebuild_fallback() {
 /// golden fixtures, the five-string collection with id 2 removed — open
 /// on every store path, answer exactly like an owned build of the same
 /// strings, take a first mutation, and re-save as that build's owned
-/// file. `CheckpointedIndex::matches` is checked to be counted by the
-/// engine metrics like any other request along the way.
+/// file. Along the way, the snapshot check is checked to be timed once
+/// in the engine metrics, eager or instant, and
+/// `CheckpointedIndex::matches` to be counted like any other request.
 #[test]
 fn interned_snapshots_open_on_every_path() {
     let strings = ["pass-join", "pass-joins", "snapshot", "ab", ""];
@@ -552,7 +543,6 @@ fn interned_snapshots_open_on_every_path() {
         let base = scratch.path("index.snap");
         std::fs::write(&base, bytes).unwrap();
         let fresh = owned_build();
-        assert_answers_like(&open_instant(&base).unwrap(), &fresh, "open_instant");
         assert_answers_like(
             &CheckpointedIndex::open(&base, OpenOptions::new().mmap(true)).unwrap(),
             &fresh,
@@ -568,6 +558,8 @@ fn interned_snapshots_open_on_every_path() {
             let store = CheckpointedIndex::open(&base, options.registry(Arc::clone(&registry)))
                 .unwrap_or_else(|e| panic!("{context}: {e}"));
             assert_eq!(store.wait_for_verification(), VerifyState::Ok, "{context}");
+            let checks = registry.histogram("passjoin_snapshot_load_validate_ns");
+            assert_eq!(checks.count(), 1, "{context}: the check is timed once");
             assert_answers_like(&store, &fresh, &context);
             let requests = registry.counter("passjoin_requests_total");
             let before = requests.get();
@@ -588,6 +580,398 @@ fn interned_snapshots_open_on_every_path() {
                 std::fs::read(&expected).unwrap(),
                 "{context}: re-saves as the owned build's file"
             );
+        }
+    }
+}
+
+/// The five-string collection of the golden fixtures, τ_max 2, id 2
+/// removed.
+const FIVE: [&str; 5] = ["pass-join", "pass-joins", "snapshot", "ab", ""];
+
+fn five_build() -> OnlineIndex {
+    let mut index = OnlineIndex::from_strings(FIVE.iter().map(|s| s.as_bytes()), 2);
+    index.remove(2);
+    index
+}
+
+/// A snapshot opened through one of the public single-index paths.
+enum Opened {
+    Index(OnlineIndex),
+    Store(CheckpointedIndex),
+}
+
+impl Opened {
+    fn queryable(&self) -> &dyn Queryable {
+        match self {
+            Opened::Index(index) => index,
+            Opened::Store(store) => store,
+        }
+    }
+
+    fn save(&self, path: &Path) {
+        match self {
+            Opened::Index(index) => index.save(path),
+            Opened::Store(store) => store.save_full(path),
+        }
+        .unwrap();
+    }
+}
+
+/// `path` opened through every public single-index path. Store opens
+/// must pass their check (before returning, or in the background).
+fn open_every_way(path: &Path) -> Vec<(&'static str, Opened)> {
+    let store = |options: OpenOptions| {
+        let store = CheckpointedIndex::open(path, options).unwrap();
+        assert_eq!(store.wait_for_verification(), VerifyState::Ok);
+        Opened::Store(store)
+    };
+    vec![
+        ("load", Opened::Index(OnlineIndex::load(path).unwrap())),
+        (
+            "load_with",
+            Opened::Index(OnlineIndex::load_with(path, Arc::new(EngineObs::new())).unwrap()),
+        ),
+        ("open", store(OpenOptions::new())),
+        ("open mmap", store(OpenOptions::new().mmap(true))),
+        ("open instant", store(OpenOptions::new().instant(true))),
+        (
+            "open mmap + instant",
+            store(OpenOptions::new().mmap(true).instant(true)),
+        ),
+    ]
+}
+
+/// Asserts `a` answers every query exactly like `b` at every τ up to
+/// τ_max, through single requests and one batch per τ.
+fn assert_answers_agree(a: &dyn Queryable, b: &dyn Queryable, queries: &[Vec<u8>], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}: live counts differ");
+    assert_eq!(a.tau_max(), b.tau_max(), "{context}: tau_max differs");
+    for tau in 0..=b.tau_max() {
+        for q in queries {
+            assert_eq!(
+                a.matches(q, tau),
+                b.matches(q, tau),
+                "{context}: {q:?} at {tau}"
+            );
+        }
+        let reqs = SearchRequest::uniform(queries, tau);
+        assert_eq!(
+            a.search_batch(&reqs).into_matches(),
+            b.search_batch(&reqs).into_matches(),
+            "{context}: batch at {tau}"
+        );
+    }
+}
+
+/// One parity table over every open path. Each fixture — the golden
+/// v1, v2 and v3 files and a fresh save — opened through every public
+/// path must be on the direct store exactly when the file carries
+/// sections 6–9, answer like the owned build of its collection for every
+/// τ ≤ τ_max, and re-save as that build's file, byte for byte. The
+/// router fixture does the same through `ShardedIndex::load_sharded`.
+#[test]
+fn every_open_path_agrees_on_every_fixture() {
+    let scratch = Scratch::new("open-parity");
+    let mut fresh = build_index(2, &corpus(90));
+    for id in [3, 40, 41] {
+        assert!(fresh.remove(id));
+    }
+    let fresh_file = scratch.path("fresh-source.snap");
+    fresh.save(&fresh_file).unwrap();
+    let fixtures: [(&str, Vec<u8>, OnlineIndex, bool); 5] = [
+        (
+            "v1-owned",
+            include_bytes!("../../online/tests/data/v1-owned.snap").to_vec(),
+            five_build(),
+            false,
+        ),
+        (
+            "v2-owned",
+            include_bytes!("../../online/tests/data/v2-owned.snap").to_vec(),
+            five_build(),
+            false,
+        ),
+        (
+            "v2-interned",
+            include_bytes!("../../online/tests/data/v2-interned.snap").to_vec(),
+            five_build(),
+            false,
+        ),
+        (
+            "v3-interned",
+            include_bytes!("../../online/tests/data/v3-interned.snap").to_vec(),
+            five_build(),
+            true,
+        ),
+        ("fresh", std::fs::read(&fresh_file).unwrap(), fresh, true),
+    ];
+    let queries: Vec<Vec<u8>> = FIVE
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .chain([b"pass".to_vec(), b"snapshots".to_vec()])
+        .chain(probe_queries())
+        .collect();
+    for (name, bytes, build, appendix) in fixtures {
+        let path = scratch.path(&format!("{name}.snap"));
+        std::fs::write(&path, &bytes).unwrap();
+        let expected_file = scratch.path(&format!("{name}-expected.snap"));
+        build.save(&expected_file).unwrap();
+        let expected = std::fs::read(&expected_file).unwrap();
+        let backend = if appendix {
+            KeyBackend::Direct
+        } else {
+            KeyBackend::Owned
+        };
+        for (how, opened) in open_every_way(&path) {
+            let context = format!("{name} via {how}");
+            let source = opened.queryable();
+            assert_eq!(source.key_backend(), backend, "{context}");
+            assert_eq!(source.epoch(), build.epoch(), "{context}");
+            assert_answers_agree(source, &build, &queries, &context);
+            let resaved = scratch.path("resaved.snap");
+            opened.save(&resaved);
+            assert_eq!(
+                std::fs::read(&resaved).unwrap(),
+                expected,
+                "{context}: re-save"
+            );
+        }
+    }
+
+    // The router fixture: a manifest plus one v3 snapshot per shard; ten
+    // strings over two length-banded shards, id 2 removed.
+    let ten: Vec<&[u8]> = [
+        "pass-join",
+        "pass-joins",
+        "snapshot",
+        "ab",
+        "",
+        "partition-based",
+        "similarity joins",
+        "vldb",
+        "pvldb",
+        "similarity join",
+    ]
+    .iter()
+    .map(|s| s.as_bytes())
+    .collect();
+    let router = scratch.path("router.snap");
+    let shard = |i: usize| scratch.path(&format!("router.snap.shard{i}"));
+    std::fs::write(
+        &router,
+        include_bytes!("../../online/tests/data/v3-interned-router.snap"),
+    )
+    .unwrap();
+    std::fs::write(
+        shard(0),
+        include_bytes!("../../online/tests/data/v3-interned-router.snap.shard0"),
+    )
+    .unwrap();
+    std::fs::write(
+        shard(1),
+        include_bytes!("../../online/tests/data/v3-interned-router.snap.shard1"),
+    )
+    .unwrap();
+    let loaded = ShardedIndex::load_sharded(&router).unwrap();
+    let mut built = ShardedIndex::builder(2)
+        .shards(2)
+        .shard_by(ShardBy::Len)
+        .build_from(ten.iter());
+    assert!(built.remove(2));
+    assert_eq!(loaded.key_backend(), KeyBackend::Direct);
+    let mut router_queries: Vec<Vec<u8>> = ten.iter().map(|s| s.to_vec()).collect();
+    router_queries.push(b"pass".to_vec());
+    assert_answers_agree(&loaded, &built, &router_queries, "router via load_sharded");
+    let (resaved, expected) = (scratch.path("resaved.pj"), scratch.path("expected.pj"));
+    loaded.save_sharded(&resaved).unwrap();
+    built.save_sharded(&expected).unwrap();
+    for suffix in ["", ".shard0", ".shard1"] {
+        let file = |base: &Path| {
+            let mut name = base.as_os_str().to_owned();
+            name.push(suffix);
+            std::fs::read(PathBuf::from(name)).unwrap()
+        };
+        assert_eq!(file(&resaved), file(&expected), "router re-save{suffix}");
+    }
+}
+
+/// Postings for a crafted snapshot: `(l, slot, key, ids)`.
+type Postings<'a> = &'a [(usize, usize, &'a [u8], &'a [u32])];
+
+/// A CRC-valid snapshot from a lying producer: META, SPANS and STRINGS
+/// for one live `"abcd"` (id 0) and one tombstone (id 1) at τ_max 1,
+/// declaring `entries` postings, then section 4 and the direct-probe
+/// appendix built from `postings` — which may lie.
+fn lying_snapshot(entries: u64, postings: Postings<'_>) -> Vec<u8> {
+    use passjoin::PartitionScheme;
+    use passjoin_persist::{format, segdirect, segmap, SnapshotWriter};
+
+    let mut meta = Vec::new();
+    for v in [1u64, 0, 2, 1, 4, entries, 0] {
+        meta.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut spans = Vec::new();
+    spans.extend_from_slice(&0u64.to_le_bytes()); // id 0: live "abcd"
+    spans.extend_from_slice(&4u32.to_le_bytes());
+    spans.extend_from_slice(&u64::MAX.to_le_bytes()); // id 1: tombstone
+    spans.extend_from_slice(&0u32.to_le_bytes());
+    let seg = segmap::encode_with(PartitionScheme::Even, 1, |f| {
+        for &(l, slot, key, ids) in postings {
+            f(l, slot, key, ids);
+        }
+    });
+    let direct = segdirect::encode_direct(PartitionScheme::Even, 1, |f| {
+        for &(l, slot, key, ids) in postings {
+            f(l, slot, key, ids);
+        }
+    });
+    let mut ids_at = format::payload_base(8) as u64;
+    for len in [
+        meta.len(),
+        spans.len(),
+        4,
+        seg.len(),
+        direct.dir.len(),
+        direct.runs.len(),
+        direct.keys.len(),
+    ] {
+        ids_at += len as u64;
+    }
+    let mut writer = SnapshotWriter::new();
+    writer
+        .section(1, meta)
+        .section(2, spans)
+        .section(3, b"abcd".to_vec())
+        .section(4, seg);
+    for (id, payload) in direct.finish(ids_at) {
+        writer.section(id, payload);
+    }
+    let mut out = Vec::new();
+    writer.write_to(&mut out).unwrap();
+    out
+}
+
+/// Every CRC-valid lie in the direct-probe appendix that an eager open
+/// rejects, an instant open rejects too: at open when the O(sections)
+/// checks catch it, otherwise by the time the background verifier
+/// reports — never `Ok`.
+#[test]
+fn instant_opens_reject_what_eager_opens_reject() {
+    let scratch = Scratch::new("instant-lies");
+    // A consistent base for the directory lie: a real save whose DIR
+    // section claims one more posting than the id blob holds.
+    let base = scratch.path("base.snap");
+    build_index(2, &corpus(40)).save(&base).unwrap();
+    let dir_lie = {
+        use passjoin_persist::{SnapshotFile, SnapshotWriter};
+        let parsed = SnapshotFile::open(&base).unwrap();
+        let mut writer = SnapshotWriter::new();
+        for id in parsed.section_ids() {
+            let mut payload = parsed.section(id).unwrap().to_vec();
+            if id == 6 {
+                let n = u64::from_le_bytes(payload[24..32].try_into().unwrap());
+                payload[24..32].copy_from_slice(&(n + 1).to_le_bytes());
+            }
+            writer.section(id, payload);
+        }
+        let mut out = Vec::new();
+        writer.write_to(&mut out).unwrap();
+        out
+    };
+    // "abcd" at τ = 1 partitions into "ab" (slot 1) + "cd" (slot 2).
+    let cases: [(&str, Vec<u8>, bool); 6] = [
+        (
+            "postings on a tombstone",
+            lying_snapshot(2, &[(4, 1, b"ab", &[1]), (4, 2, b"cd", &[1])]),
+            false,
+        ),
+        (
+            "postings of the wrong length",
+            lying_snapshot(2, &[(5, 1, b"ab", &[0]), (5, 2, b"cde", &[0])]),
+            false,
+        ),
+        (
+            "keys off the partition geometry",
+            lying_snapshot(2, &[(4, 1, b"abc", &[0]), (4, 2, b"d", &[0])]),
+            false,
+        ),
+        (
+            "unsorted posting ids",
+            lying_snapshot(4, &[(4, 1, b"ab", &[1, 0]), (4, 2, b"cd", &[0, 1])]),
+            true,
+        ),
+        (
+            "an entry-count lie",
+            lying_snapshot(7, &[(4, 1, b"ab", &[0]), (4, 2, b"cd", &[0])]),
+            true,
+        ),
+        ("a directory blob-size lie", dir_lie, true),
+    ];
+    for (what, bytes, caught_at_open) in cases {
+        let path = scratch.path("lie.snap");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            CheckpointedIndex::open(&path, OpenOptions::new()).is_err(),
+            "{what}: eager open accepted it"
+        );
+        for options in [
+            OpenOptions::new().instant(true),
+            OpenOptions::new().mmap(true).instant(true),
+        ] {
+            match CheckpointedIndex::open(&path, options) {
+                Err(_) => assert!(caught_at_open, "{what}: rejected at open"),
+                Ok(store) => {
+                    assert!(!caught_at_open, "{what}: not rejected at open");
+                    match store.wait_for_verification() {
+                        VerifyState::Failed { .. } => {}
+                        state => panic!("{what}: instant open ended {state:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An instant open verifies v1 and v2 files like v3 ones: every flipped
+/// byte of the golden v1/v2 fixtures, which an eager open rejects, is
+/// rejected at open or ends in `Failed` — never `Ok`.
+#[test]
+fn instant_opens_of_v1_and_v2_files_are_verified() {
+    let scratch = Scratch::new("instant-legacy-flips");
+    let fixtures: [(&str, &[u8]); 3] = [
+        (
+            "v1-owned",
+            include_bytes!("../../online/tests/data/v1-owned.snap"),
+        ),
+        (
+            "v2-owned",
+            include_bytes!("../../online/tests/data/v2-owned.snap"),
+        ),
+        (
+            "v2-interned",
+            include_bytes!("../../online/tests/data/v2-interned.snap"),
+        ),
+    ];
+    for (name, bytes) in fixtures {
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 0x20;
+            // A fresh file per flip: a mapped file is never rewritten.
+            let path = scratch.path(&format!("{name}-{at}.snap"));
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(
+                CheckpointedIndex::open(&path, OpenOptions::new()).is_err(),
+                "{name}: eager open accepted the flip at {at}"
+            );
+            if let Ok(store) =
+                CheckpointedIndex::open(&path, OpenOptions::new().mmap(true).instant(true))
+            {
+                match store.wait_for_verification() {
+                    VerifyState::Failed { .. } => {}
+                    state => panic!("{name}: flip at {at} ended {state:?}"),
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
         }
     }
 }
