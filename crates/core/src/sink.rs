@@ -722,6 +722,17 @@ impl<T> PullReceiver<T> {
             queue = shared.not_empty.wait(queue).unwrap();
         }
     }
+
+    /// True when nothing is queued right now — a non-blocking probe for
+    /// consumers that batch their output and want to hand it on before
+    /// the next [`recv`](Self::recv) would wait on the producer.
+    pub fn is_empty(&self) -> bool {
+        self.shared
+            .queue
+            .lock()
+            .expect("a pull channel peer panicked holding the queue lock")
+            .is_empty()
+    }
 }
 
 impl<T> Iterator for PullReceiver<T> {
@@ -992,11 +1003,15 @@ mod tests {
     #[test]
     fn pull_channel_transfers_in_order_and_ends() {
         let (tx, rx) = pull_channel(4);
+        assert!(rx.is_empty());
         for v in 0..3 {
             tx.send(v).unwrap();
         }
+        assert!(!rx.is_empty());
+        assert_eq!(rx.recv(), Some(0));
         drop(tx);
-        assert_eq!(rx.collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(!rx.is_empty(), "a closed channel still holds its queue");
+        assert_eq!(rx.collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! request line and drains the response into typed [`Event`]s up to and
 //! including the terminator; streaming consumers can instead walk
 //! events one at a time with [`Client::read_event`].
+//!
+//! The socket has `TCP_NODELAY` set and each request line, newline
+//! included, goes out in one write, so a short line is sent at once
+//! instead of waiting on the acknowledgement of the previous write.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -94,6 +98,7 @@ impl Client {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             writer: stream,
@@ -101,10 +106,10 @@ impl Client {
         })
     }
 
-    /// Sends one raw request line (no trailing newline needed).
+    /// Sends one raw request line (no trailing newline needed) in one
+    /// write.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Reads and decodes the next response line. `Ok(None)` on EOF.

@@ -8,13 +8,27 @@
 //! thread against the shared source, so the connection cap is also the
 //! query-concurrency cap.
 //!
+//! **Latency**: every accepted socket has `TCP_NODELAY` set, and a
+//! connection collects its response lines in one write buffer instead of
+//! writing each line on its own. The buffer goes out in one `write_all`
+//! after each request line's terminator, after a `line_too_long` error,
+//! whenever it passes a fixed 64 KiB, and, on a streamed line, whenever
+//! the engine has nothing queued — so a found match never waits on the
+//! rest of the scan. A one-query line therefore costs one write and no
+//! delayed-acknowledgement wait, on either end ([`crate::Client`] sends
+//! each request line in one write on a nodelay socket too).
+//!
 //! **Backpressure** (the design constraint from the roadmap): streamed
 //! responses never buffer more than [`ServerConfig::stream_buffer`]
-//! matches server-side. The engine runs on a helper thread pushing into
-//! a bounded [`pull_channel`]; the connection thread pulls and writes.
-//! A slow socket fills the channel and *blocks the engine* (bounded
-//! memory); a dead socket drops the receiver, which saturates the
-//! engine's sink and aborts the scan (bounded work).
+//! matches in the channel plus one write buffer of at most 64 KiB (and
+//! the line that pushed it past) server-side. The engine runs on a
+//! helper thread pushing into a bounded [`pull_channel`]; the connection
+//! thread pulls and writes. That thread is the connection's own, spawned
+//! at its first streamed line and kept until it closes, so a streamed
+//! line costs a hand-off, not a thread spawn and join. A slow socket
+//! fills the channel and *blocks the engine* (bounded memory); a dead
+//! socket drops the receiver, which saturates the engine's sink and
+//! aborts the scan (bounded work).
 //!
 //! **Budgets**: client-requested caps are intersected with the server's
 //! ceiling via [`ExecBudget::clamped_by`] — a client can only tighten.
@@ -34,13 +48,15 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::{self, Scope};
 use std::time::Duration;
 
 use passjoin::sink::MatchSink;
 use passjoin_obs::{Counter, Gauge, Registry};
 use passjoin_online::{
-    wall_deadline, BatchBudget, ExecBudget, QueryOutcome, Queryable, SearchRequest, WallClockTicks,
+    wall_deadline, BatchBudget, ExecBudget, PullReceiver, PullSender, QueryOutcome, Queryable,
+    SearchRequest, WallClockTicks,
 };
 use sj_common::StringId;
 
@@ -61,8 +77,9 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-write timeout; a socket stuck longer is treated as dead.
     pub write_timeout: Duration,
-    /// Streamed-response channel capacity: the most matches ever
-    /// buffered server-side per streaming request.
+    /// Streamed-response channel capacity: the most matches ever queued
+    /// between the engine and the connection per streaming request (the
+    /// connection's write buffer holds at most 64 KiB of lines besides).
     pub stream_buffer: usize,
     /// τ used by query lines that do not set one.
     pub default_tau: usize,
@@ -158,6 +175,11 @@ impl ServeObs {
         }
     }
 }
+
+/// A connection's read timeout. A short real timeout keeps reads
+/// responsive to shutdown; the configured idle timeout accumulates across
+/// short waits.
+const POLL: Duration = Duration::from_millis(100);
 
 /// Signals a running [`Server`] to stop accepting and drain; cloneable
 /// and usable from any thread (a ctrl-c handler, the protocol's
@@ -268,17 +290,27 @@ impl Server {
         stream: TcpStream,
         source: &(dyn Queryable + Sync),
     ) -> io::Result<()> {
-        // A short real timeout keeps reads responsive to shutdown; the
-        // configured idle timeout accumulates across short waits.
-        const POLL: Duration = Duration::from_millis(100);
         stream.set_read_timeout(Some(POLL))?;
         stream.set_write_timeout(Some(self.config.write_timeout))?;
+        // Responses leave in whole writes (see `Connection`), so holding a
+        // short one back until the client acknowledges the last buys nothing.
+        stream.set_nodelay(true)?;
         let mut conn = Connection {
             stream,
             obs: &self.obs,
             buf: Vec::with_capacity(4096),
         };
+        // The scope joins the streamed lines' engine thread, if one was
+        // spawned, once the line loop has returned.
+        thread::scope(|scope| self.serve_lines(&mut conn, &mut Engine::new(source, scope)))
+    }
 
+    /// The line loop of [`serve_connection`](Self::serve_connection).
+    fn serve_lines(
+        &self,
+        conn: &mut Connection<'_>,
+        engine: &mut Engine<'_, '_>,
+    ) -> io::Result<()> {
         let mut pending: Vec<u8> = Vec::new();
         let mut idle = Duration::ZERO;
         // Oversized line in progress: already reported, discarding bytes.
@@ -310,33 +342,33 @@ impl Server {
             // Process every complete line in the buffer.
             while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = pending.drain(..=nl).collect();
-                let line = &line[..line.len() - 1];
-                let line = line.strip_suffix(b"\r").unwrap_or(line);
                 if discarding {
                     // The tail of an oversized line; the error already went out.
                     discarding = false;
                     continue;
                 }
+                let line = &line[..nl];
+                if line.len() > self.config.max_line_bytes {
+                    // Whole but too long: refuse it like a partial one.
+                    self.line_too_long(conn)?;
+                    continue;
+                }
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
                 if line.is_empty() {
                     continue;
                 }
-                match self.serve_line(line, source, &mut conn)? {
-                    LineOutcome::Continue => {}
-                    LineOutcome::Shutdown => {
-                        self.shutdown.store(true, Ordering::Release);
-                        return Ok(());
-                    }
+                let outcome = self.serve_line(line, engine, conn)?;
+                // The terminator is buffered: the response leaves in one write.
+                conn.flush()?;
+                if let LineOutcome::Shutdown = outcome {
+                    self.shutdown.store(true, Ordering::Release);
+                    return Ok(());
                 }
             }
             if !discarding && pending.len() > self.config.max_line_bytes {
                 // No newline yet and already too long: answer now, then
                 // skip bytes until the line finally ends.
-                self.obs.requests_total.inc(1);
-                self.obs.request_errors_total.inc(1);
-                conn.send_line(&proto::error_line(
-                    ErrorCode::LineTooLong,
-                    &format!("request line exceeds {} bytes", self.config.max_line_bytes),
-                ))?;
+                self.line_too_long(conn)?;
                 pending.clear();
                 discarding = true;
             } else if discarding {
@@ -345,11 +377,23 @@ impl Server {
         }
     }
 
-    /// Parses and executes one request line, writing its response lines.
+    /// Answers a request line longer than `max_line_bytes` with
+    /// `line_too_long`, written at once.
+    fn line_too_long(&self, conn: &mut Connection<'_>) -> io::Result<()> {
+        self.obs.requests_total.inc(1);
+        self.obs.request_errors_total.inc(1);
+        conn.send_line(&proto::error_line(
+            ErrorCode::LineTooLong,
+            &format!("request line exceeds {} bytes", self.config.max_line_bytes),
+        ))?;
+        conn.flush()
+    }
+
+    /// Parses and executes one request line, buffering its response lines.
     fn serve_line(
         &self,
         line: &[u8],
-        source: &(dyn Queryable + Sync),
+        engine: &mut Engine<'_, '_>,
         conn: &mut Connection<'_>,
     ) -> io::Result<LineOutcome> {
         self.obs.requests_total.inc(1);
@@ -389,7 +433,7 @@ impl Server {
                 Ok(LineOutcome::Continue)
             }
             Request::Query(spec) => {
-                match self.serve_query(&spec, source, conn)? {
+                match self.serve_query(spec, engine, conn)? {
                     Ok(summary) => {
                         self.obs.queries_total.inc(summary.queries);
                         self.obs.matches_total.inc(summary.matches);
@@ -442,10 +486,11 @@ impl Server {
     /// connection's health; the inner result is the request's.
     fn serve_query(
         &self,
-        spec: &QuerySpec,
-        source: &(dyn Queryable + Sync),
+        spec: QuerySpec,
+        engine: &mut Engine<'_, '_>,
         conn: &mut Connection<'_>,
     ) -> io::Result<Result<DoneSummary, RequestError>> {
+        let source = engine.source;
         let tau = spec.tau.unwrap_or(self.config.default_tau);
         if tau > source.tau_max() {
             return Ok(Err(RequestError {
@@ -458,11 +503,13 @@ impl Server {
             .batch
             .as_ref()
             .map(|batch| BatchBudget::new(self.budget_of(batch)));
-        let requests: Vec<SearchRequest<'_>> = spec
+        // Owned requests (the query bytes move, no copy) can go to the
+        // engine thread of a streamed line.
+        let requests: Vec<SearchRequest<'static>> = spec
             .queries
-            .iter()
+            .into_iter()
             .map(|q| {
-                let mut req = SearchRequest::borrowed(q, tau);
+                let mut req = SearchRequest::new(q, tau);
                 if let Some(k) = spec.limit {
                     req = req.with_limit(k);
                 }
@@ -481,7 +528,7 @@ impl Server {
 
         let mut summary = DoneSummary::default();
         if spec.stream && !spec.count {
-            if let Err(e) = self.stream_query(&requests, source, conn, &mut summary)? {
+            if let Err(e) = self.stream_query(requests, engine, conn, &mut summary)? {
                 return Ok(Err(e));
             }
         } else {
@@ -504,64 +551,136 @@ impl Server {
     }
 
     /// Streams one query line through the bounded pull channel: the
-    /// engine pushes on a helper thread, this (connection) thread pulls
+    /// connection's engine thread pushes, this (connection) thread pulls
     /// and writes — see the module docs for the backpressure contract.
-    /// Results nest like `serve_query`'s; a panicked engine thread is the
-    /// inner error.
+    /// Results nest like `serve_query`'s; a panicked engine is the inner
+    /// error.
     fn stream_query(
         &self,
-        requests: &[SearchRequest<'_>],
-        source: &(dyn Queryable + Sync),
+        requests: Vec<SearchRequest<'static>>,
+        engine: &mut Engine<'_, '_>,
         conn: &mut Connection<'_>,
         summary: &mut DoneSummary,
     ) -> io::Result<Result<(), RequestError>> {
         let (tx, rx) = passjoin_online::pull_channel::<StreamItem>(self.config.stream_buffer);
-        let mut write_failure = None;
-        let joined = std::thread::scope(|scope| {
-            let engine = scope.spawn(move || {
-                for (q, req) in requests.iter().enumerate() {
-                    let mut sink = StreamSink {
-                        tx: &tx,
-                        q,
-                        disconnected: false,
-                    };
-                    let outcome = source.search_streaming(req, &mut sink);
-                    let gone = sink.disconnected;
-                    if gone || tx.send(StreamItem::Eoq(q, outcome)).is_err() {
-                        break; // client is gone; stop the whole line
-                    }
-                }
-                let high_water = tx.high_water();
-                drop(tx); // close: the writer's iterator ends
-                high_water
-            });
-            for item in rx {
-                let result = match item {
-                    StreamItem::Match(q, id, dist) => {
-                        conn.send_line(&proto::match_line(q, id, dist))
-                    }
-                    StreamItem::Eoq(q, outcome) => {
-                        summary.absorb(&outcome);
-                        conn.send_line(&proto::eoq_line(q, outcome.count, &outcome.completion))
-                    }
-                };
-                if let Err(e) = result {
-                    write_failure = Some(e);
-                    break; // dropping rx hangs up; the engine aborts
-                }
-            }
-            // A panic unwinds the engine thread, dropping its sender:
-            // the loop above has already ended, and the join reports it.
-            engine.join()
-        });
-        if let Ok(high_water) = &joined {
+        // A panic unwinds the engine's run, dropping its sender: the drain
+        // has already ended, and the run's result reports it.
+        let (written, ran) = engine.stream(requests, tx, || drain_stream(rx, conn, summary));
+        if let Ok(high_water) = &ran {
             self.obs.note_stream_peak(*high_water);
         }
-        match write_failure {
-            Some(e) => Err(e),
-            None => Ok(joined.map(|_| ()).map_err(|_| engine_panicked())),
+        written?;
+        Ok(ran.map(|_| ()).map_err(|_| engine_panicked()))
+    }
+}
+
+/// A streamed line's work for the engine thread: its requests and the
+/// channel its items go into.
+type StreamJob = (Vec<SearchRequest<'static>>, PullSender<StreamItem>);
+
+/// The source a connection serves, plus the thread its streamed lines
+/// run the engine on. That thread is spawned at the connection's first
+/// streamed line and kept until the connection closes, so each streamed
+/// line after the first costs a hand-off instead of a thread spawn and
+/// join.
+struct Engine<'scope, 'env> {
+    source: &'env (dyn Queryable + Sync),
+    scope: &'scope Scope<'scope, 'env>,
+    /// The engine thread's job queue and result channel, once spawned.
+    thread: Option<(mpsc::Sender<StreamJob>, mpsc::Receiver<thread::Result<u64>>)>,
+}
+
+impl<'scope, 'env> Engine<'scope, 'env> {
+    fn new(source: &'env (dyn Queryable + Sync), scope: &'scope Scope<'scope, 'env>) -> Self {
+        Self {
+            source,
+            scope,
+            thread: None,
         }
     }
+
+    /// Runs `requests` on the engine thread, pushing into `tx`, while
+    /// `drain` runs on this one. Returns `drain`'s result and the run's:
+    /// the channel's high-water mark, or the panic that ended the run.
+    fn stream<R>(
+        &mut self,
+        requests: Vec<SearchRequest<'static>>,
+        tx: PullSender<StreamItem>,
+        drain: impl FnOnce() -> R,
+    ) -> (R, thread::Result<u64>) {
+        let (source, scope) = (self.source, self.scope);
+        let (jobs, ran) = self.thread.get_or_insert_with(|| {
+            let (jobs, queued) = mpsc::channel::<StreamJob>();
+            let (results, ran) = mpsc::channel();
+            scope.spawn(move || {
+                // Ends when the connection drops `jobs`.
+                for (requests, tx) in queued {
+                    let result =
+                        panic::catch_unwind(AssertUnwindSafe(|| run_stream(source, &requests, tx)));
+                    if results.send(result).is_err() {
+                        break;
+                    }
+                }
+            });
+            (jobs, ran)
+        });
+        // The thread stops only once `jobs` is dropped, and catches every
+        // panic a job raises, so it takes and answers every job.
+        jobs.send((requests, tx))
+            .expect("the engine thread outlives its job queue");
+        let drained = drain();
+        let ran = ran.recv().expect("the engine thread answers every job");
+        (drained, ran)
+    }
+}
+
+/// The engine's half of a streamed line: runs `requests` in order,
+/// pushing their matches and end-of-query items into `tx`, and returns
+/// the channel's high-water mark. Dropping `tx` on return closes the
+/// channel, which ends the drain.
+fn run_stream(
+    source: &(dyn Queryable + Sync),
+    requests: &[SearchRequest<'_>],
+    tx: PullSender<StreamItem>,
+) -> u64 {
+    for (q, req) in requests.iter().enumerate() {
+        let mut sink = StreamSink {
+            tx: &tx,
+            q,
+            disconnected: false,
+        };
+        let outcome = source.search_streaming(req, &mut sink);
+        let gone = sink.disconnected;
+        if gone || tx.send(StreamItem::Eoq(q, outcome)).is_err() {
+            break; // client is gone; stop the whole line
+        }
+    }
+    tx.high_water()
+}
+
+/// Writes a streamed line's items as the engine produces them, handing
+/// the buffer to the socket whenever the engine has nothing queued.
+/// Owning `rx` is what makes a write failure safe: returning drops it,
+/// hanging up on the engine, so a sender blocked on a full channel fails
+/// instead of waiting forever on the join that follows.
+fn drain_stream(
+    rx: PullReceiver<StreamItem>,
+    conn: &mut Connection<'_>,
+    summary: &mut DoneSummary,
+) -> io::Result<()> {
+    while let Some(item) = rx.recv() {
+        match item {
+            StreamItem::Match(q, id, dist) => conn.send_line(&proto::match_line(q, id, dist))?,
+            StreamItem::Eoq(q, outcome) => {
+                summary.absorb(&outcome);
+                conn.send_line(&proto::eoq_line(q, outcome.count, &outcome.completion))?;
+            }
+        }
+        if rx.is_empty() {
+            conn.flush()?;
+        }
+    }
+    Ok(())
 }
 
 /// The error a line gets when the engine panicked answering it.
@@ -590,7 +709,7 @@ enum StreamItem {
 /// pushing it into the bounded channel; a hung-up channel (the writer
 /// saw a dead socket) saturates the sink, aborting the scan.
 struct StreamSink<'a> {
-    tx: &'a passjoin_online::PullSender<StreamItem>,
+    tx: &'a PullSender<StreamItem>,
     q: usize,
     disconnected: bool,
 }
@@ -610,21 +729,39 @@ impl MatchSink for StreamSink<'_> {
     }
 }
 
-/// One connection's write half plus byte accounting.
+/// Buffered response bytes past which a connection writes mid-line.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
+/// One connection's write half: response lines collect in `buf` and
+/// leave in one `write_all` per [`flush`](Self::flush) (see the module
+/// docs for when), counted in `bytes_written_total` once written.
 struct Connection<'a> {
     stream: TcpStream,
     obs: &'a ServeObs,
+    /// Encoded response lines not yet written.
     buf: Vec<u8>,
 }
 
 impl Connection<'_> {
-    /// Writes `line` plus a newline, counting the bytes.
+    /// Buffers `line` plus a newline; writes the buffer once it passes
+    /// [`WRITE_BUFFER_BYTES`].
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.buf.clear();
         self.buf.extend_from_slice(line.as_bytes());
         self.buf.push(b'\n');
+        if self.buf.len() > WRITE_BUFFER_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes everything buffered, counting the bytes.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
         self.stream.write_all(&self.buf)?;
         self.obs.bytes_written_total.inc(self.buf.len() as u64);
+        self.buf.clear();
         Ok(())
     }
 }

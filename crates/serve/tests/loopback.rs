@@ -13,7 +13,9 @@
 //!    typed error terminators and the connection keeps serving.
 //! 3. **Backpressure** — a slow streaming reader still gets every
 //!    match, and the server-side queue never exceeds the configured
-//!    `stream_buffer` (scraped from `passjoin_server_stream_buffered_peak`).
+//!    `stream_buffer` (scraped from `passjoin_server_stream_buffered_peak`);
+//!    a client that hangs up mid-stream saturates the engine's sink,
+//!    and the server serves on.
 //! 4. **Budgets** — server ceilings clamp client budgets; a `batch`
 //!    budget is drained across the whole line.
 //! 5. **Lifecycle** — graceful shutdown drains in-flight connections;
@@ -21,11 +23,16 @@
 //!    op reports request/query counters that add up.
 //! 6. **Engine panics** — a panic answering a buffered or a streamed
 //!    line costs that line an `internal` error, not the connection.
+//! 7. **Wire timing** — one-query lines and pings round-trip without
+//!    waiting on delayed acknowledgements, a streamed match leaves while
+//!    the engine is still running, and the written-bytes counter equals
+//!    what the client reads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use passjoin_obs::Registry;
 use passjoin_online::{
@@ -133,6 +140,11 @@ fn raw_exchange(
 ) -> Vec<String> {
     stream.write_all(line.as_bytes()).unwrap();
     stream.write_all(b"\n").unwrap();
+    read_response(reader)
+}
+
+/// Reads raw response lines through the terminator.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Vec<String> {
     let mut lines = Vec::new();
     loop {
         let mut l = String::new();
@@ -332,6 +344,320 @@ fn bad_lines_get_typed_errors_and_the_connection_survives() {
         ));
         client.ping().unwrap();
     });
+}
+
+#[test]
+fn an_oversized_line_gets_one_line_too_long_however_it_arrives() {
+    let strings = corpus(40, 7);
+    let index = build(&strings, 1, KeyBackend::Owned);
+    let config = ServerConfig {
+        max_line_bytes: 256,
+        ..ServerConfig::default()
+    };
+    with_server(&index, config, Arc::new(Registry::new()), |addr, server| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let huge = format!("{{\"op\":\"query\",\"q\":\"{}\"}}\n", "x".repeat(300));
+        let (short_head, short_tail) = huge.split_at(200);
+        let (long_head, newline) = huge.split_at(huge.len() - 1);
+        let queries = [strings[0].clone()];
+        let next = build_query_line(
+            &queries,
+            &QueryOptions {
+                tau: Some(1),
+                ..QueryOptions::default()
+            },
+        );
+        let want = offline_lines(&index, &queries, 1, None, false);
+        // In one write; split with the head under the limit; split with
+        // the head alone over it. The newline always ends the last write.
+        let arrivals = [
+            vec![&huge[..]],
+            vec![short_head, short_tail],
+            vec![long_head, newline],
+        ];
+        for writes in &arrivals {
+            for part in writes {
+                stream.write_all(part.as_bytes()).unwrap();
+            }
+            let got = read_response(&mut reader);
+            assert_eq!(got.len(), 1, "{} writes: {got:?}", writes.len());
+            assert!(
+                got[0].starts_with("{\"error\":{\"code\":\"line_too_long\""),
+                "{} writes: {got:?}",
+                writes.len()
+            );
+            // A second error would arrive ahead of this answer.
+            let got = raw_exchange(&mut stream, &mut reader, &next);
+            assert_eq!(got, want, "the line after {} writes", writes.len());
+        }
+        let obs = server.obs();
+        assert_eq!(obs.requests_total.get(), 6);
+        assert_eq!(obs.request_errors_total.get(), 3);
+    });
+}
+
+#[test]
+fn interactive_round_trips_stay_off_the_delayed_ack_timer() {
+    const LINES: usize = 100;
+    const LIMIT: Duration = Duration::from_secs(2);
+    let strings = corpus(120, 0x5EED);
+    let index = build(&strings, 2, KeyBackend::Owned);
+    with_server(
+        &index,
+        ServerConfig::default(),
+        Arc::new(Registry::new()),
+        |addr, _| {
+            let mut client = Client::connect(addr).unwrap();
+            // One-query lines, plain then streamed; then pings. A write
+            // held back for an acknowledgement costs ~40 ms or more per
+            // line, so a group that waits on the timer overruns the limit.
+            for stream in [Some(false), Some(true), None] {
+                let started = Instant::now();
+                for query in strings.iter().cycle().take(LINES) {
+                    let Some(stream) = stream else {
+                        client.ping().unwrap();
+                        continue;
+                    };
+                    let options = QueryOptions {
+                        tau: Some(1),
+                        stream,
+                        ..QueryOptions::default()
+                    };
+                    let events = client.query(&[query], &options).unwrap();
+                    assert!(
+                        matches!(events.last(), Some(Event::Done { queries: 1, .. })),
+                        "{:?}",
+                        events.last()
+                    );
+                }
+                let took = started.elapsed();
+                assert!(
+                    took < LIMIT,
+                    "{LINES} lines (stream: {stream:?}) took {took:?}, limit {LIMIT:?}"
+                );
+            }
+        },
+    );
+}
+
+#[test]
+fn bytes_written_total_equals_the_bytes_the_client_reads() {
+    let strings = corpus(160, 0xB17E5);
+    let queries: Vec<Vec<u8>> = strings.iter().step_by(13).cloned().collect();
+    let index = build(&strings, 2, KeyBackend::Owned);
+    let config = ServerConfig {
+        max_line_bytes: 1024,
+        ..ServerConfig::default()
+    };
+    with_server(&index, config, Arc::new(Registry::new()), |addr, _| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let shapes = [
+            (None, false, false),
+            (Some(3), false, false),
+            (None, true, false),
+            (None, false, true),
+        ];
+        let mut lines: Vec<String> = shapes
+            .iter()
+            .map(|&(limit, count, stream)| {
+                let options = QueryOptions {
+                    tau: Some(2),
+                    limit,
+                    count,
+                    stream,
+                    ..QueryOptions::default()
+                };
+                build_query_line(&queries, &options)
+            })
+            .collect();
+        lines.push("not json".into());
+        lines.push(format!(
+            "{{\"op\":\"query\",\"q\":\"{}\"}}",
+            "x".repeat(2000)
+        ));
+        lines.push("{\"op\":\"ping\"}".into());
+        let mut read = 0;
+        for line in &lines {
+            // Each response line plus the newline `raw_exchange` strips.
+            let got = raw_exchange(&mut stream, &mut reader, line);
+            read += got.iter().map(|l| l.len() + 1).sum::<usize>();
+        }
+        let scrape = raw_exchange(
+            &mut stream,
+            &mut reader,
+            "{\"op\":\"metrics\",\"format\":\"prometheus\"}",
+        );
+        let payload = passjoin_serve::json::parse(scrape[0].as_bytes()).expect("metrics line");
+        let dump = payload
+            .get("metrics")
+            .and_then(|m| m.as_str())
+            .expect("a metrics payload");
+        let dump = String::from_utf8_lossy(dump);
+        assert_eq!(
+            metric_value(&dump, "passjoin_server_bytes_written_total"),
+            Some(read as i64),
+            "written vs read over {} lines",
+            lines.len()
+        );
+    });
+}
+
+/// A source whose streamed queries, once their matches are pushed, hold
+/// the engine until the test reports having read a match off the wire
+/// (or a timeout passes, which marks the match late).
+struct HoldsAfterStreaming<'a> {
+    inner: &'a OnlineIndex,
+    read: Mutex<mpsc::Receiver<()>>,
+    late: AtomicBool,
+}
+
+impl Queryable for HoldsAfterStreaming<'_> {
+    fn exec_source(&self) -> Option<ExecSource<'_>> {
+        self.inner.exec_source()
+    }
+
+    fn search_batch(&self, reqs: &[SearchRequest]) -> SearchResponse {
+        self.inner.search_batch(reqs)
+    }
+
+    fn search_streaming(&self, req: &SearchRequest, sink: &mut dyn MatchSink) -> QueryOutcome {
+        let outcome = self.inner.search_streaming(req, sink);
+        let read = self.read.lock().unwrap();
+        if read.recv_timeout(Duration::from_secs(10)).is_err() {
+            self.late.store(true, Ordering::SeqCst);
+        }
+        outcome
+    }
+}
+
+#[test]
+fn a_streamed_match_leaves_while_the_engine_still_runs() {
+    let strings = corpus(60, 5);
+    let index = build(&strings, 1, KeyBackend::Owned);
+    let (read_tx, read_rx) = mpsc::channel();
+    let source = HoldsAfterStreaming {
+        inner: &index,
+        read: Mutex::new(read_rx),
+        late: AtomicBool::new(false),
+    };
+    with_server(
+        &source,
+        ServerConfig::default(),
+        Arc::new(Registry::new()),
+        |addr, _| {
+            let mut client = Client::connect(addr).unwrap();
+            let options = QueryOptions {
+                tau: Some(1),
+                stream: true,
+                ..QueryOptions::default()
+            };
+            client
+                .query_nowait(&[strings[0].clone()], &options)
+                .unwrap();
+            let first = client.read_event().unwrap();
+            read_tx.send(()).unwrap();
+            assert!(matches!(first, Some(Event::Match { .. })), "{first:?}");
+            loop {
+                match client.read_event().unwrap().expect("no EOF mid-response") {
+                    Event::Done { queries: 1, .. } => break,
+                    event => assert!(!event.is_terminator(), "{event:?}"),
+                }
+            }
+            assert!(
+                !source.late.load(Ordering::SeqCst),
+                "the match arrived only after the engine returned"
+            );
+        },
+    );
+}
+
+/// A source whose first streamed query, after its own matches, waits
+/// until the test has hung up and then pushes one match over and over
+/// until the sink saturates, reporting whether it did: an engine still
+/// producing when its client goes away. Later queries only delegate.
+struct StreamsPastHangUp<'a> {
+    inner: &'a OnlineIndex,
+    hung_up: Mutex<Option<mpsc::Receiver<()>>>,
+    saturated: mpsc::Sender<bool>,
+}
+
+impl Queryable for StreamsPastHangUp<'_> {
+    fn exec_source(&self) -> Option<ExecSource<'_>> {
+        self.inner.exec_source()
+    }
+
+    fn search_batch(&self, reqs: &[SearchRequest]) -> SearchResponse {
+        self.inner.search_batch(reqs)
+    }
+
+    fn search_streaming(&self, req: &SearchRequest, sink: &mut dyn MatchSink) -> QueryOutcome {
+        let outcome = self.inner.search_streaming(req, sink);
+        let Some(hung_up) = self.hung_up.lock().unwrap().take() else {
+            return outcome;
+        };
+        hung_up.recv_timeout(Duration::from_secs(10)).unwrap();
+        // Bounded, so a sink that never saturates fails the test.
+        let saturated = (0..1_000_000).any(|_| {
+            sink.push(0, 0);
+            sink.saturated()
+        });
+        self.saturated.send(saturated).unwrap();
+        outcome
+    }
+}
+
+#[test]
+fn a_client_gone_mid_stream_stops_the_engine_and_the_server_serves_on() {
+    let strings = corpus(60, 8);
+    let index = build(&strings, 1, KeyBackend::Owned);
+    let (hung_up_tx, hung_up_rx) = mpsc::channel();
+    let (saturated_tx, saturated_rx) = mpsc::channel();
+    let source = StreamsPastHangUp {
+        inner: &index,
+        hung_up: Mutex::new(Some(hung_up_rx)),
+        saturated: saturated_tx,
+    };
+    let options = QueryOptions {
+        tau: Some(1),
+        stream: true,
+        ..QueryOptions::default()
+    };
+    with_server(
+        &source,
+        ServerConfig::default(),
+        Arc::new(Registry::new()),
+        |addr, _| {
+            let mut gone = Client::connect(addr).unwrap();
+            gone.query_nowait(&[strings[0].clone()], &options).unwrap();
+            let first = gone.read_event().unwrap();
+            assert!(matches!(first, Some(Event::Match { .. })), "{first:?}");
+            drop(gone);
+            hung_up_tx.send(()).unwrap();
+            assert_eq!(
+                saturated_rx.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "the engine kept pushing after its client hung up"
+            );
+
+            // The next connection's streamed lines are answered in full.
+            let mut client = Client::connect(addr).unwrap();
+            for query in &strings[..3] {
+                let events = client.query(std::slice::from_ref(query), &options).unwrap();
+                let mut got: Vec<(u32, usize)> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::Match { id, d, .. } => Some((*id as u32, *d as usize)),
+                        _ => None,
+                    })
+                    .collect();
+                got.sort_unstable();
+                let offline = index.search(&SearchRequest::borrowed(query, 1));
+                assert_eq!(got, *offline.matches);
+            }
+        },
+    );
 }
 
 #[test]
