@@ -1,11 +1,18 @@
 //! The one execution engine behind every query surface.
 //!
 //! [`OnlineIndex`](crate::OnlineIndex) and [`Snapshot`](crate::Snapshot)
-//! used to carry near-duplicate `query*` method families; both now
 //! implement [`Queryable`] by handing the engine an [`ExecSource`] (their
-//! shared inner state, epoch, and — for the index — its cache), and
-//! everything else lives here exactly once:
+//! shared inner state, epoch, and — for the index — its cache and
+//! observability). Every request, whatever its surface, runs through one
+//! request function, and every batch through one batch driver:
 //!
+//! * **The request function** runs one request, buffered or streamed
+//!   into a caller's sink, with or without observability attached. It
+//!   consults the cache, executes the shaped scan, replays a buffered
+//!   answer into a streamed request's sink, and — when an
+//!   [`EngineObs`] is attached — times the plan, cache and verify phases
+//!   and records the request. With none attached it reads no clock and
+//!   fires no event.
 //! * **Length plans** — a query's control skeleton (which `(length, slot)`
 //!   indices to visit, each slot's segment spec and selection window)
 //!   depends only on `(query length, τ)`, so batches sort by that key and
@@ -14,22 +21,24 @@
 //!   [`passjoin::sink::MatchSink`] chosen by the request shape: collect
 //!   (plain), bounded top-k heap (`limit`, tightening verification as it
 //!   fills), or a counter (`count_only`, saturating at an optional cap).
-//!   [`Queryable::search_streaming`] instead threads a *caller-supplied*
-//!   sink down to the verification loop, so matches are pushed as they
-//!   are verified rather than buffered per query.
+//!   A streamed plain request ([`Queryable::search_streaming`]) instead
+//!   threads the *caller-supplied* sink down to the verification loop,
+//!   so matches are pushed as they are verified rather than buffered.
 //! * **Budgets** — a request's [`ExecBudget`](crate::ExecBudget) wraps
 //!   the shape sink in a composing [`passjoin::sink::BudgetSink`]; a
 //!   tripped cap aborts probing through the sink saturation path and the
 //!   outcome reports [`Completion::Truncated`](crate::Completion) with
 //!   the reason.
-//! * **Batch dispatch** — mixed-τ batches are first-class; workers pull
-//!   blocks of the `(length, τ)`-sorted order off an atomic cursor, keep
-//!   private scratch (dedup stamps, DP rows), and write position-aligned
-//!   outcomes.
-//! * **Cache integration** — cacheable requests (plain shape, policy
+//! * **The batch driver** serves buffered and streamed batches alike.
+//!   Mixed-τ batches are first-class; workers pull blocks of the
+//!   `(length, τ)`-sorted order off an atomic cursor, keep private
+//!   scratch (dedup stamps, DP rows), and write position-aligned
+//!   outcomes. A worker's panic reaches the caller with its own message.
+//! * **Cache integration** — cacheable requests (policy
 //!   [`CachePolicy::Use`](crate::CachePolicy::Use)) consult the source's
-//!   epoch-validated LRU cache; the per-request outcome is reported in
-//!   [`QueryOutcome::cache`].
+//!   epoch-validated LRU cache, and any shape is derived from a stored
+//!   full result; only plain, buffered, complete results are stored. The
+//!   per-request outcome is reported in [`QueryOutcome::cache`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,7 +53,7 @@ use passjoin_obs::TraceEvent;
 use sj_common::StringId;
 
 use crate::cache::QueryCache;
-use crate::index::{Inner, KeyBackend, QueryScratch, SegmentStore};
+use crate::index::{Inner, KeyBackend, QueryScratch};
 use crate::obs::{trace, EngineObs};
 use crate::request::{
     CacheOutcome, CachePolicy, Completion, ExecBudget, ExecStats, Parallelism, QueryOutcome,
@@ -98,7 +107,7 @@ pub trait Queryable {
         let source = require_source(self.exec_source());
         let mut plans = PlanSlot::default();
         let mut scratch = QueryScratch::default();
-        run_view(&source, ReqView::of(req), &mut plans, &mut scratch)
+        run_view(&source, ReqView::of(req), None, &mut plans, &mut scratch)
     }
 
     /// Executes a batch of requests — thresholds, limits, and cache
@@ -107,7 +116,12 @@ pub trait Queryable {
     /// across the strongest [`Parallelism`](crate::Parallelism) hint in
     /// the batch. Outcomes align with `reqs` by position.
     fn search_batch(&self, reqs: &[SearchRequest]) -> SearchResponse {
-        run_batch(&require_source(self.exec_source()), reqs)
+        let source = require_source(self.exec_source());
+        let views: Vec<ReqView<'_>> = reqs.iter().map(ReqView::of).collect();
+        let outcomes = run_views(&views, batch_threads(reqs), |i, plans, scratch| {
+            run_view(&source, views[i], None, plans, scratch)
+        });
+        SearchResponse { outcomes }
     }
 
     /// Executes one request, *pushing* matches into a caller-supplied
@@ -159,7 +173,13 @@ pub trait Queryable {
         let source = require_source(self.exec_source());
         let mut plans = PlanSlot::default();
         let mut scratch = QueryScratch::default();
-        run_view_streaming(&source, ReqView::of(req), sink, &mut plans, &mut scratch)
+        run_view(
+            &source,
+            ReqView::of(req),
+            Some(sink),
+            &mut plans,
+            &mut scratch,
+        )
     }
 
     /// Streaming over a batch: every request is executed with
@@ -211,10 +231,16 @@ pub trait Queryable {
         );
         let source = require_source(self.exec_source());
         let views: Vec<ReqView<'_>> = reqs.iter().map(ReqView::of).collect();
-        let threads = batch_threads(reqs);
-        SearchResponse {
-            outcomes: run_views_streaming(&source, &views, sinks, threads),
-        }
+        // Sinks sit behind per-request mutexes so the worker that pulls a
+        // request can reach its sink across the scope; each mutex is
+        // locked exactly once, so there is no contention.
+        let slots: Vec<Mutex<&mut (dyn MatchSink + Send)>> =
+            sinks.iter_mut().map(|s| Mutex::new(&mut **s)).collect();
+        let outcomes = run_views(&views, batch_threads(reqs), |i, plans, scratch| {
+            let mut sink = slots[i].lock().unwrap_or_else(|e| e.into_inner());
+            run_view(&source, views[i], Some(&mut **sink), plans, scratch)
+        });
+        SearchResponse { outcomes }
     }
 
     /// Convenience for the plain one-query case: all matches within `tau`
@@ -273,35 +299,103 @@ pub struct ExecSource<'a> {
     pub(crate) inner: &'a Inner,
     pub(crate) epoch: u64,
     pub(crate) cache: Option<&'a Mutex<QueryCache>>,
-    /// Observability bundle; `None` keeps the whole engine uninstrumented
-    /// (one branch per request, nothing on the probe/verify loops).
+    /// Observability bundle. With `None`, a request reads no clock and
+    /// fires no trace event, and verification runs without a timer.
     pub(crate) obs: Option<&'a EngineObs>,
 }
 
-/// Per-request phase accumulator for the instrumented path: collects the
-/// explicitly measured plan and cache-lock time (verification time rides
-/// in the scratch's timer, probing is the remainder — see
-/// [`EngineObs::record_request`]).
+/// One request's observability: the attached [`EngineObs`], if any, the
+/// request's start time, and the plan and cache-lock time measured so far
+/// (verification time rides in the scratch's timer, probing is the
+/// remainder — see [`EngineObs::record_request`]). With no observability
+/// attached, every method runs its work untimed and fires nothing.
 struct ReqObs<'a> {
-    obs: &'a EngineObs,
+    obs: Option<&'a EngineObs>,
+    start_ns: u64,
     plan_ns: u64,
     cache_ns: u64,
 }
 
-impl ReqObs<'_> {
+impl<'a> ReqObs<'a> {
+    /// Starts timing a request and installs the scratch's verify timer.
+    fn start(obs: Option<&'a EngineObs>, scratch: &mut QueryScratch) -> Self {
+        let start_ns = obs.map_or(0, |obs| {
+            scratch.start_verify_timer(Arc::clone(&obs.clock));
+            obs.clock.now_nanos()
+        });
+        Self {
+            obs,
+            start_ns,
+            plan_ns: 0,
+            cache_ns: 0,
+        }
+    }
+
     fn time_plan<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = self.obs.clock.now_nanos();
-        let out = f();
-        self.plan_ns += self.obs.clock.now_nanos().saturating_sub(start);
-        out
+        timed(self.obs, &mut self.plan_ns, f)
     }
 
     fn time_cache<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = self.obs.clock.now_nanos();
-        let out = f();
-        self.cache_ns += self.obs.clock.now_nanos().saturating_sub(start);
-        out
+        timed(self.obs, &mut self.cache_ns, f)
     }
+
+    fn event(&self, event: TraceEvent) {
+        if let Some(obs) = self.obs {
+            trace(obs, event);
+        }
+    }
+
+    fn derived_hit(&self) {
+        if let Some(obs) = self.obs {
+            obs.cache_derived_hits.inc(1);
+        }
+    }
+
+    /// Records the finished request (counters, truncation, phase
+    /// histograms) and fires `VerifyFinished`, then `Flush` when the
+    /// request streamed its matches into a caller's sink.
+    fn finish(self, outcome: &QueryOutcome, scratch: &mut QueryScratch, flushed: bool) {
+        let Some(obs) = self.obs else {
+            return;
+        };
+        let verify_ns = scratch.take_verify_ns();
+        let total_ns = obs.clock.now_nanos().saturating_sub(self.start_ns);
+        obs.record_request(
+            &outcome.stats,
+            &outcome.completion,
+            total_ns,
+            self.plan_ns,
+            self.cache_ns,
+            verify_ns,
+        );
+        trace(
+            obs,
+            TraceEvent::VerifyFinished {
+                candidates: outcome.stats.candidates,
+                verifications: outcome.stats.verifications,
+                matches: outcome.stats.segment_matches + outcome.stats.short_matches,
+            },
+        );
+        if flushed {
+            trace(
+                obs,
+                TraceEvent::Flush {
+                    emitted: outcome.count as u64,
+                },
+            );
+        }
+    }
+}
+
+/// Runs `f`, adding its wall time to `ns` when observability is attached.
+fn timed<T>(obs: Option<&EngineObs>, ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    let Some(obs) = obs else {
+        return f();
+    };
+    let start = obs.clock.now_nanos();
+    let out = f();
+    *ns += obs.clock.now_nanos().saturating_sub(start);
+    out
 }
 
 /// The engine-internal view of one request: borrowed bytes plus the shape
@@ -471,9 +565,6 @@ fn run_plan<S: MatchSink + ?Sized>(
 /// Probes one `(length, slot)` inverted index with the substrings of
 /// `query` in `window`, screening candidates with the extension cascade
 /// and pushing `(id, exact distance)` matches into the sink.
-///
-/// The owned store hashes each substring; the direct store binary-searches
-/// it against the sorted run table in the snapshot buffer.
 #[allow(clippy::too_many_arguments)]
 fn probe_occurrences<S: MatchSink + ?Sized>(
     inner: &Inner,
@@ -487,31 +578,14 @@ fn probe_occurrences<S: MatchSink + ?Sized>(
     sink: &mut S,
     stats: &mut ExecStats,
 ) {
-    match inner.segments() {
-        SegmentStore::Owned(map) => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let w = &query[p..p + seg.len];
-                let Some(list) = map.probe(l, slot, w) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
+    for p in window {
+        if sink.saturated() {
+            return;
         }
-        SegmentStore::Direct(index) => {
-            for p in window {
-                if sink.saturated() {
-                    return;
-                }
-                let w = &query[p..p + seg.len];
-                let Some(list) = index.probe(l, slot, w) else {
-                    continue;
-                };
-                screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
-            }
-        }
+        let Some(list) = inner.segments().probe(l, slot, &query[p..p + seg.len]) else {
+            continue;
+        };
+        screen_list(inner, query, tau, slot, seg, p, list, scratch, sink, stats);
     }
 }
 
@@ -587,18 +661,23 @@ fn screen_list<S: MatchSink + ?Sized>(
     }
 }
 
-/// Runs one query's plan under the view's per-request [`BudgetSink`];
-/// returns why the *request* budget tripped, if it did (the inner sink —
-/// possibly a [`PoolBudgetSink`] — keeps its own trip state).
+/// Runs one query's plan into `sink`, wrapped in a [`BudgetSink`] when
+/// the view carries a budget; returns why the *request* budget tripped,
+/// if it did (the inner sink — possibly a [`PoolBudgetSink`] — keeps its
+/// own trip state). Unbudgeted views take the raw path — no adapter, no
+/// per-event overhead.
 fn run_request_budgeted<S: MatchSink + ?Sized>(
     inner: &Inner,
     plan: &LengthPlan,
     view: ReqView<'_>,
-    budget: &ExecBudget,
     scratch: &mut QueryScratch,
     sink: &mut S,
     stats: &mut ExecStats,
 ) -> Option<TruncationReason> {
+    let Some(budget) = view.budget else {
+        run_plan(inner, plan, view.query, view.tau, scratch, sink, stats);
+        return None;
+    };
     let mut budgeted = BudgetSink::new(sink);
     if let Some(n) = budget.max_verifications() {
         budgeted = budgeted.with_max_verifications(n);
@@ -621,11 +700,10 @@ fn run_request_budgeted<S: MatchSink + ?Sized>(
     budgeted.tripped()
 }
 
-/// Runs one query's plan into `sink`, wrapped in a [`BudgetSink`] when
-/// the view carries a budget and a [`PoolBudgetSink`] when it carries a
-/// shared batch pool (a unit of work must then clear both), and reports
-/// whether the scan completed or a budget tripped. Unbudgeted views take
-/// the raw path — no adapter, no per-event overhead.
+/// Runs one query's plan into `sink`, wrapped in a [`PoolBudgetSink`]
+/// when the view carries a shared batch pool and then in the request's
+/// own budget (a unit of work must clear both), and reports whether the
+/// scan completed or a budget tripped.
 fn run_plan_budgeted<S: MatchSink + ?Sized>(
     inner: &Inner,
     plan: &LengthPlan,
@@ -634,36 +712,14 @@ fn run_plan_budgeted<S: MatchSink + ?Sized>(
     sink: &mut S,
     stats: &mut ExecStats,
 ) -> Completion {
-    let tripped = match (view.budget, view.pool) {
-        (None, None) => {
-            run_plan(inner, plan, view.query, view.tau, scratch, sink, stats);
-            None
-        }
-        (Some(budget), None) => {
-            run_request_budgeted(inner, plan, view, budget, scratch, sink, stats)
-        }
-        (budget, Some(pool)) => {
+    let tripped = match view.pool {
+        Some(pool) => {
             let mut pooled = PoolBudgetSink::new(sink, pool);
-            let own = match budget {
-                Some(budget) => {
-                    run_request_budgeted(inner, plan, view, budget, scratch, &mut pooled, stats)
-                }
-                None => {
-                    run_plan(
-                        inner,
-                        plan,
-                        view.query,
-                        view.tau,
-                        scratch,
-                        &mut pooled,
-                        stats,
-                    );
-                    None
-                }
-            };
+            let own = run_request_budgeted(inner, plan, view, scratch, &mut pooled, stats);
             // The request's own trip takes precedence over the pool's.
             own.or(pooled.tripped())
         }
+        None => run_request_budgeted(inner, plan, view, scratch, sink, stats),
     };
     match tripped {
         Some(reason) => Completion::Truncated { reason },
@@ -671,83 +727,65 @@ fn run_plan_budgeted<S: MatchSink + ?Sized>(
     }
 }
 
-/// Fetches (building if stale) the view's [`LengthPlan`], attributing the
-/// build time to the plan phase and firing [`TraceEvent::PlanBuilt`] when
-/// the request is instrumented.
-fn timed_plan<'p>(
-    inner: &Inner,
-    view: ReqView<'_>,
-    plans: &'p mut PlanSlot,
-    robs: Option<&mut ReqObs<'_>>,
-) -> &'p LengthPlan {
-    match robs {
-        Some(r) => {
-            let plan = r.time_plan(|| plans.get(inner, view.query.len(), view.tau));
-            trace(
-                r.obs,
-                TraceEvent::PlanBuilt {
-                    query_len: view.query.len() as u64,
-                    tau: view.tau as u64,
-                    probes: plan.probes.len() as u64,
-                    short_ids: plan.short_ids.len() as u64,
-                },
-            );
-            plan
-        }
-        None => plans.get(inner, view.query.len(), view.tau),
-    }
-}
-
-/// Executes one view (no cache involvement), picking the sink from the
-/// request shape.
+/// Executes one view without the cache, with the sink its shape picks: a
+/// counter, a top-k heap, the caller's sink of a streamed plain request
+/// (`emit`), or a collector. Each arm keeps its concrete sink type, so
+/// [`run_plan`] is compiled per shape. A streamed top-k request gets the
+/// finished heap back buffered, for [`run_view`] to replay.
 fn execute_shaped(
     inner: &Inner,
     view: ReqView<'_>,
+    emit: Option<&mut (dyn MatchSink + '_)>,
     plans: &mut PlanSlot,
     scratch: &mut QueryScratch,
-    robs: Option<&mut ReqObs<'_>>,
+    robs: &mut ReqObs<'_>,
 ) -> QueryOutcome {
-    let plan = timed_plan(inner, view, plans, robs);
+    let plan = robs.time_plan(|| plans.get(inner, view.query.len(), view.tau));
+    robs.event(TraceEvent::PlanBuilt {
+        query_len: view.query.len() as u64,
+        tau: view.tau as u64,
+        probes: plan.probes.len() as u64,
+        short_ids: plan.short_ids.len() as u64,
+    });
     let mut stats = ExecStats::default();
-    if view.count_only {
+    let (count, matches, completion) = if view.count_only {
         let mut sink = match view.limit {
             Some(cap) => CountSink::capped(cap),
             None => CountSink::new(),
         };
         let completion = run_plan_budgeted(inner, plan, view, scratch, &mut sink, &mut stats);
-        QueryOutcome {
-            matches: Arc::default(),
-            count: sink.count(),
-            cache: CacheOutcome::Bypass,
-            completion,
-            stats,
-        }
+        (sink.count(), Arc::default(), completion)
     } else if let Some(k) = view.limit {
         let mut sink = TopKSink::new(k);
         let completion = run_plan_budgeted(inner, plan, view, scratch, &mut sink, &mut stats);
         let matches = sink.into_matches();
-        QueryOutcome {
-            count: matches.len(),
-            matches: Arc::new(matches),
-            cache: CacheOutcome::Bypass,
-            completion,
-            stats,
-        }
+        (matches.len(), Arc::new(matches), completion)
+    } else if let Some(emit) = emit {
+        let mut sink = EmitCount {
+            inner: emit,
+            emitted: 0,
+        };
+        let completion = run_plan_budgeted(inner, plan, view, scratch, &mut sink, &mut stats);
+        (sink.emitted, Arc::default(), completion)
     } else {
         let mut out = Vec::new();
-        let completion;
-        {
-            let mut sink = CollectSink::new(&mut out);
-            completion = run_plan_budgeted(inner, plan, view, scratch, &mut sink, &mut stats);
-        }
+        let completion = run_plan_budgeted(
+            inner,
+            plan,
+            view,
+            scratch,
+            &mut CollectSink::new(&mut out),
+            &mut stats,
+        );
         out.sort_unstable();
-        QueryOutcome {
-            count: out.len(),
-            matches: Arc::new(out),
-            cache: CacheOutcome::Bypass,
-            completion,
-            stats,
-        }
+        (out.len(), Arc::new(out), completion)
+    };
+    QueryOutcome {
+        matches,
+        count,
+        cache: CacheOutcome::Bypass,
+        completion,
+        stats,
     }
 }
 
@@ -793,119 +831,78 @@ fn derive_from_cache(view: ReqView<'_>, hit: Arc<Vec<Match>>) -> QueryOutcome {
     }
 }
 
-/// Executes one view, consulting the source's cache when the request
-/// opts in. Any shape can be *answered* from a stored full result
-/// ([`derive_from_cache`]); only plain [`Completion::Complete`] results
-/// are ever *stored* — a truncated or shaped result must not masquerade
-/// as the full answer for `(query, τ)`.
+/// Runs one request — the engine's only request function. `emit` is the
+/// caller's sink of a streamed request ([`Queryable::search_streaming`]
+/// has the per-shape semantics); `None` buffers the answer into the
+/// outcome.
+///
+/// A request that opts into the cache is answered from a stored full
+/// result when one exists ([`derive_from_cache`]). Only a plain, buffered,
+/// [`Completion::Complete`] result is ever *stored*: a truncated or shaped
+/// result must not masquerade as the full answer for `(query, τ)`, and a
+/// streamed scan may have been steered or cut short by the caller's sink
+/// in ways the engine cannot see.
 fn run_view(
     source: &ExecSource<'_>,
     view: ReqView<'_>,
+    mut emit: Option<&mut dyn MatchSink>,
     plans: &mut PlanSlot,
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
-    let Some(obs) = source.obs else {
-        return run_view_inner(source, view, plans, scratch, None);
-    };
-    let (outcome, _) = instrumented(obs, scratch, |scratch, robs| {
-        run_view_inner(source, view, plans, scratch, Some(robs))
+    let mut robs = ReqObs::start(source.obs, scratch);
+    let cache = source.cache.filter(|_| view.use_cache);
+    let hit = cache.and_then(|cache| {
+        let hit = robs.time_cache(|| lock(cache).lookup(view.query, view.tau, source.epoch));
+        robs.event(TraceEvent::CacheLookup { hit: hit.is_some() });
+        hit
     });
-    outcome
-}
-
-/// Brackets one request on the instrumented path: installs the scratch
-/// verify timer, runs `f` with a fresh phase accumulator, and records the
-/// finished request (counters, truncation, phase histograms, the
-/// `VerifyFinished` trace event). Returns the outcome and total wall ns.
-fn instrumented(
-    obs: &EngineObs,
-    scratch: &mut QueryScratch,
-    f: impl FnOnce(&mut QueryScratch, &mut ReqObs<'_>) -> QueryOutcome,
-) -> (QueryOutcome, u64) {
-    let start = obs.clock.now_nanos();
-    scratch.start_verify_timer(Arc::clone(&obs.clock));
-    let mut robs = ReqObs {
-        obs,
-        plan_ns: 0,
-        cache_ns: 0,
-    };
-    let outcome = f(scratch, &mut robs);
-    let verify_ns = scratch.take_verify_ns();
-    let total_ns = obs.clock.now_nanos().saturating_sub(start);
-    obs.record_request(
-        &outcome.stats,
-        &outcome.completion,
-        total_ns,
-        robs.plan_ns,
-        robs.cache_ns,
-        verify_ns,
-    );
-    trace(
-        obs,
-        TraceEvent::VerifyFinished {
-            candidates: outcome.stats.candidates,
-            verifications: outcome.stats.verifications,
-            matches: outcome.stats.segment_matches + outcome.stats.short_matches,
-        },
-    );
-    (outcome, total_ns)
-}
-
-/// [`run_view`] minus the per-request bracketing — the shared body for
-/// both the plain and instrumented paths (and for the shapes
-/// [`run_view_streaming_inner`] answers buffered).
-fn run_view_inner(
-    source: &ExecSource<'_>,
-    view: ReqView<'_>,
-    plans: &mut PlanSlot,
-    scratch: &mut QueryScratch,
-    mut robs: Option<&mut ReqObs<'_>>,
-) -> QueryOutcome {
-    if view.use_cache {
-        if let Some(cache) = source.cache {
-            let hit = match robs.as_deref_mut() {
-                Some(r) => {
-                    let hit =
-                        r.time_cache(|| lock(cache).lookup(view.query, view.tau, source.epoch));
-                    trace(r.obs, TraceEvent::CacheLookup { hit: hit.is_some() });
-                    hit
-                }
-                None => lock(cache).lookup(view.query, view.tau, source.epoch),
-            };
-            if let Some(hit) = hit {
-                if let Some(r) = robs.as_deref_mut() {
-                    if !view.is_plain() {
-                        r.obs.cache_derived_hits.inc(1);
-                    }
-                }
-                return derive_from_cache(view, hit);
+    let mut outcome = match hit {
+        Some(hit) => {
+            if !view.is_plain() {
+                robs.derived_hit();
             }
+            derive_from_cache(view, hit)
+        }
+        None => {
             // Compute outside the lock: parallel batch workers must not
             // serialize their probing on the cache mutex.
-            let mut outcome =
-                execute_shaped(source.inner, view, plans, scratch, robs.as_deref_mut());
-            outcome.cache = CacheOutcome::Miss;
-            if view.is_plain() && outcome.completion.is_complete() {
-                let store = || {
-                    lock(cache).insert(
-                        view.query,
-                        view.tau,
-                        source.epoch,
-                        Arc::clone(&outcome.matches),
-                    )
-                };
-                match robs.as_deref_mut() {
-                    Some(r) => {
-                        r.time_cache(store);
-                        trace(r.obs, TraceEvent::CacheStore);
-                    }
-                    None => store(),
+            let mut outcome = execute_shaped(
+                source.inner,
+                view,
+                emit.as_deref_mut(),
+                plans,
+                scratch,
+                &mut robs,
+            );
+            if let Some(cache) = cache {
+                outcome.cache = CacheOutcome::Miss;
+                if view.is_plain() && emit.is_none() && outcome.completion.is_complete() {
+                    robs.time_cache(|| {
+                        lock(cache).insert(
+                            view.query,
+                            view.tau,
+                            source.epoch,
+                            Arc::clone(&outcome.matches),
+                        )
+                    });
+                    robs.event(TraceEvent::CacheStore);
                 }
             }
-            return outcome;
+            outcome
+        }
+    };
+    // A streamed request whose answer was buffered — a hit, or a finished
+    // top-k heap (retention is global, so emission waits for the heap) —
+    // replays it now. Count-only requests emit nothing.
+    let flushed = emit.is_some() && !view.count_only;
+    if let Some(sink) = emit {
+        if flushed && (outcome.cache == CacheOutcome::Hit || view.limit.is_some()) {
+            outcome.count = replay(&outcome.matches, sink);
+            outcome.matches = Arc::default();
         }
     }
-    execute_shaped(source.inner, view, plans, scratch, robs)
+    robs.finish(&outcome, scratch, flushed);
+    outcome
 }
 
 /// An adapter counting emissions into a caller-supplied streaming sink;
@@ -952,243 +949,64 @@ pub(crate) fn replay(matches: &[Match], sink: &mut dyn MatchSink) -> usize {
     emitted
 }
 
-/// Streams one plain view into the caller's sink (no cache involvement):
-/// matches are pushed as verification accepts them.
-fn stream_plain(
-    inner: &Inner,
-    view: ReqView<'_>,
-    plans: &mut PlanSlot,
-    scratch: &mut QueryScratch,
-    sink: &mut dyn MatchSink,
-    robs: Option<&mut ReqObs<'_>>,
-) -> QueryOutcome {
-    let plan = timed_plan(inner, view, plans, robs);
-    let mut stats = ExecStats::default();
-    let mut counting = EmitCount {
-        inner: sink,
-        emitted: 0,
-    };
-    let completion = run_plan_budgeted(inner, plan, view, scratch, &mut counting, &mut stats);
-    QueryOutcome {
-        matches: Arc::default(),
-        count: counting.emitted,
-        cache: CacheOutcome::Bypass,
-        completion,
-        stats,
-    }
-}
-
-/// [`Queryable::search_streaming`]'s engine entry; see the trait method
-/// for the per-shape semantics.
-fn run_view_streaming(
-    source: &ExecSource<'_>,
-    view: ReqView<'_>,
-    sink: &mut dyn MatchSink,
-    plans: &mut PlanSlot,
-    scratch: &mut QueryScratch,
-) -> QueryOutcome {
-    let Some(obs) = source.obs else {
-        return run_view_streaming_inner(source, view, sink, plans, scratch, None);
-    };
-    let (outcome, _) = instrumented(obs, scratch, |scratch, robs| {
-        run_view_streaming_inner(source, view, sink, plans, scratch, Some(robs))
-    });
-    if !view.count_only {
-        trace(
-            obs,
-            TraceEvent::Flush {
-                emitted: outcome.count as u64,
-            },
-        );
-    }
-    outcome
-}
-
-/// [`run_view_streaming`] minus the per-request bracketing. The buffered
-/// shapes (count-only, top-k) route through [`run_view_inner`] — never
-/// the instrumented [`run_view`] wrapper, which would double-record.
-fn run_view_streaming_inner(
-    source: &ExecSource<'_>,
-    view: ReqView<'_>,
-    sink: &mut dyn MatchSink,
-    plans: &mut PlanSlot,
-    scratch: &mut QueryScratch,
-    mut robs: Option<&mut ReqObs<'_>>,
-) -> QueryOutcome {
-    // Count-only emits nothing: the buffered path *is* the streaming path.
-    if view.count_only {
-        return run_view_inner(source, view, plans, scratch, robs);
-    }
-    // Top-k retention is global, so emission defers to one flush of the
-    // finished heap — including a flush of a derived/cached result.
-    if view.limit.is_some() {
-        let outcome = run_view_inner(source, view, plans, scratch, robs);
-        let emitted = replay(&outcome.matches, sink);
-        return QueryOutcome {
-            count: emitted,
-            matches: Arc::default(),
-            ..outcome
-        };
-    }
-    // Plain: serve hits by replaying the cached result; computed results
-    // stream live and are never stored (the caller's sink may have
-    // steered or truncated the scan in ways the engine cannot see).
-    if view.use_cache {
-        if let Some(cache) = source.cache {
-            let hit = match robs.as_deref_mut() {
-                Some(r) => {
-                    let hit =
-                        r.time_cache(|| lock(cache).lookup(view.query, view.tau, source.epoch));
-                    trace(r.obs, TraceEvent::CacheLookup { hit: hit.is_some() });
-                    hit
-                }
-                None => lock(cache).lookup(view.query, view.tau, source.epoch),
-            };
-            if let Some(hit) = hit {
-                let emitted = replay(&hit, sink);
-                return QueryOutcome {
-                    count: emitted,
-                    matches: Arc::default(),
-                    cache: CacheOutcome::Hit,
-                    completion: Completion::Complete,
-                    stats: ExecStats::default(),
-                };
-            }
-            let mut outcome = stream_plain(source.inner, view, plans, scratch, sink, robs);
-            outcome.cache = CacheOutcome::Miss;
-            return outcome;
-        }
-    }
-    stream_plain(source.inner, view, plans, scratch, sink, robs)
-}
-
-/// Executes `views` with `threads` workers (callers resolve hints first),
-/// returning position-aligned outcomes. Views are processed in
-/// `(query length, τ)` order so plans are rebuilt only at group
-/// boundaries; parallel workers pull blocks of that order off an atomic
-/// cursor (dynamic balancing without a scheduler dependency).
-fn run_views(source: &ExecSource<'_>, views: &[ReqView<'_>], threads: usize) -> Vec<QueryOutcome> {
+/// The batch driver: runs every view of a batch with `run(i, plans,
+/// scratch)`, which answers `views[i]`, on `threads` workers (callers
+/// resolve hints first), and returns position-aligned outcomes. Views
+/// are processed in `(query length, τ)` order so plans are rebuilt only
+/// at group boundaries; parallel workers pull blocks of that order off an
+/// atomic cursor (dynamic balancing without a scheduler dependency), each
+/// with its own plan slot and scratch. A worker's panic is resumed in the
+/// caller with its own payload.
+fn run_views(
+    views: &[ReqView<'_>],
+    threads: usize,
+    run: impl Fn(usize, &mut PlanSlot, &mut QueryScratch) -> QueryOutcome + Sync,
+) -> Vec<QueryOutcome> {
     let mut order: Vec<u32> = (0..views.len() as u32).collect();
     // Stable within a group for cache friendliness of repeated queries.
     order.sort_by_key(|&i| {
         let v = &views[i as usize];
         (v.query.len(), v.tau)
     });
+    let mut outcomes: Vec<QueryOutcome> = vec![QueryOutcome::default(); views.len()];
 
     if threads <= 1 || views.len() < 2 * BLOCK {
-        let mut outcomes: Vec<QueryOutcome> = vec![QueryOutcome::default(); views.len()];
         let mut scratch = QueryScratch::default();
         let mut plans = PlanSlot::default();
         for &qi in &order {
-            outcomes[qi as usize] = run_view(source, views[qi as usize], &mut plans, &mut scratch);
+            outcomes[qi as usize] = run(qi as usize, &mut plans, &mut scratch);
         }
         return outcomes;
     }
 
     let cursor = AtomicUsize::new(0);
-    let order = &order;
-    let mut outcomes: Vec<QueryOutcome> = vec![QueryOutcome::default(); views.len()];
+    let (order, cursor, run) = (&order, &cursor, &run);
     let collected = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(u32, QueryOutcome)> = Vec::new();
-                let mut scratch = QueryScratch::default();
-                let mut plans = PlanSlot::default();
-                loop {
-                    let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if start >= order.len() {
-                        break;
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut local: Vec<(u32, QueryOutcome)> = Vec::new();
+                    let mut scratch = QueryScratch::default();
+                    let mut plans = PlanSlot::default();
+                    loop {
+                        let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
+                        if start >= order.len() {
+                            break;
+                        }
+                        for &qi in &order[start..(start + BLOCK).min(order.len())] {
+                            local.push((qi, run(qi as usize, &mut plans, &mut scratch)));
+                        }
                     }
-                    for &qi in &order[start..(start + BLOCK).min(order.len())] {
-                        let outcome =
-                            run_view(source, views[qi as usize], &mut plans, &mut scratch);
-                        local.push((qi, outcome));
-                    }
-                }
-                local
-            }));
-        }
+                    local
+                })
+            })
+            .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (qi, outcome) in collected {
-        outcomes[qi as usize] = outcome;
-    }
-    outcomes
-}
-
-/// Streaming counterpart of [`run_views`]: the same `(length, τ)` sort
-/// and block-cursor parallelism, but every view pushes into its own sink.
-/// Sinks live behind per-request mutexes so the worker that pulls a view
-/// can reach its sink across the scope; each mutex is locked exactly once
-/// (requests never share a sink slot), so there is no contention.
-fn run_views_streaming(
-    source: &ExecSource<'_>,
-    views: &[ReqView<'_>],
-    sinks: &mut [&mut (dyn MatchSink + Send)],
-    threads: usize,
-) -> Vec<QueryOutcome> {
-    debug_assert_eq!(views.len(), sinks.len());
-    let mut order: Vec<u32> = (0..views.len() as u32).collect();
-    order.sort_by_key(|&i| {
-        let v = &views[i as usize];
-        (v.query.len(), v.tau)
-    });
-
-    if threads <= 1 || views.len() < 2 * BLOCK {
-        let mut outcomes: Vec<QueryOutcome> = vec![QueryOutcome::default(); views.len()];
-        let mut scratch = QueryScratch::default();
-        let mut plans = PlanSlot::default();
-        for &qi in &order {
-            let qi = qi as usize;
-            outcomes[qi] =
-                run_view_streaming(source, views[qi], &mut *sinks[qi], &mut plans, &mut scratch);
-        }
-        return outcomes;
-    }
-
-    let slots: Vec<Mutex<&mut (dyn MatchSink + Send)>> =
-        sinks.iter_mut().map(|s| Mutex::new(&mut **s)).collect();
-    let cursor = AtomicUsize::new(0);
-    let order = &order;
-    let slots = &slots;
-    let mut outcomes: Vec<QueryOutcome> = vec![QueryOutcome::default(); views.len()];
-    let collected = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(u32, QueryOutcome)> = Vec::new();
-                let mut scratch = QueryScratch::default();
-                let mut plans = PlanSlot::default();
-                loop {
-                    let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if start >= order.len() {
-                        break;
-                    }
-                    for &qi in &order[start..(start + BLOCK).min(order.len())] {
-                        let mut sink = slots[qi as usize].lock().unwrap_or_else(|e| e.into_inner());
-                        let outcome = run_view_streaming(
-                            source,
-                            views[qi as usize],
-                            &mut **sink,
-                            &mut plans,
-                            &mut scratch,
-                        );
-                        drop(sink);
-                        local.push((qi, outcome));
-                    }
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect::<Vec<_>>()
     });
     for (qi, outcome) in collected {
@@ -1215,13 +1033,4 @@ pub(crate) fn batch_threads(reqs: &[SearchRequest]) -> usize {
         threads = threads.max(Parallelism::Auto.resolve());
     }
     threads
-}
-
-/// [`Queryable::search_batch`]'s engine entry.
-fn run_batch(source: &ExecSource<'_>, reqs: &[SearchRequest]) -> SearchResponse {
-    let views: Vec<ReqView<'_>> = reqs.iter().map(ReqView::of).collect();
-    let threads = batch_threads(reqs);
-    SearchResponse {
-        outcomes: run_views(source, &views, threads),
-    }
 }

@@ -165,6 +165,17 @@ impl SegmentStore {
         }
     }
 
+    /// The inverted list `L_l^slot` holds for segment `key`, if any: the
+    /// owned store hashes the key, the direct store binary-searches it
+    /// against the sorted run table in the snapshot buffer.
+    #[inline]
+    pub(crate) fn probe(&self, l: usize, slot: usize, key: &[u8]) -> Option<&[StringId]> {
+        match self {
+            SegmentStore::Owned(map) => map.probe(l, slot, key),
+            SegmentStore::Direct(index) => index.probe(l, slot, key),
+        }
+    }
+
     pub(crate) fn max_len(&self) -> usize {
         match self {
             SegmentStore::Owned(map) => map.max_len(),
@@ -348,19 +359,21 @@ fn resolve<'a>(arena: &'a Option<SharedBytes>, stored: &'a Stored) -> &'a [u8] {
 }
 
 /// Reusable per-thread scratch for the engine: dedup stamps, DP rows, and
-/// the verify timer of an instrumented request. Batch workers keep one
-/// each, so queries allocate nothing per call.
+/// — when observability is attached — the request's verify timer. Batch
+/// workers keep one each, so queries allocate nothing per call.
 #[derive(Debug)]
 pub(crate) struct QueryScratch {
     pub(crate) resolved: StampSet,
     pub(crate) ws: DpWorkspace,
-    /// Installed per request by the instrumented engine path; accumulates
-    /// nanoseconds spent inside exact edit-distance verification. `None`
-    /// (observability detached) costs one predictable branch per DP call.
+    /// Installed per request when observability is attached; accumulates
+    /// nanoseconds spent inside exact edit-distance verification. With
+    /// none attached it stays `None`, and a DP call reads no clock (one
+    /// predictable branch).
     pub(crate) vtimer: Option<VerifyTimer>,
 }
 
-/// Accumulates verification time for one instrumented request.
+/// Accumulates verification time for one request with observability
+/// attached.
 pub(crate) struct VerifyTimer {
     clock: Arc<dyn passjoin_obs::Clock>,
     ns: u64,
@@ -390,8 +403,7 @@ impl QueryScratch {
     }
 
     /// Exact thresholded edit distance using the scratch DP rows. When a
-    /// verify timer is installed (instrumented path), the DP time is
-    /// accumulated into it.
+    /// verify timer is installed, the DP time is accumulated into it.
     pub(crate) fn exact_within(&mut self, r: &[u8], s: &[u8], tau: usize) -> Option<usize> {
         match &mut self.vtimer {
             Some(timer) => {
@@ -1071,6 +1083,23 @@ mod tests {
         index.insert(b"abcdefgh");
         index.insert(b"abXdeXgh");
         index.search_batch(&SearchRequest::uniform(&[b"abcdefgh".as_slice()], 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the index's τ_max")]
+    fn parallel_batch_keeps_the_engine_panic_message() {
+        // A worker's panic reaches the caller with its own message, as
+        // on the serial path, not a generic "worker panicked".
+        let mut index = OnlineIndex::new(1);
+        index.insert(b"abcdefgh");
+        index.insert(b"abXdeXgh");
+        let reqs: Vec<SearchRequest> = (0..100)
+            .map(|i| {
+                SearchRequest::borrowed(b"abcdefgh", if i == 57 { 2 } else { 1 })
+                    .with_parallelism(crate::Parallelism::Threads(2))
+            })
+            .collect();
+        index.search_batch(&reqs);
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //!   phase-duration histograms, Prometheus/JSON dumps) plus a
 //!   [`TraceSink`] hook fired at plan/probe/verify/cache/flush/snapshot
 //!   boundaries. Attach it per index via
-//!   [`OnlineIndex::set_observability`]; with none attached the engine
-//!   takes the uninstrumented path. [`WallClockTicks`] supplies a real
+//!   [`OnlineIndex::set_observability`]; with none attached a request
+//!   reads no clock and fires no event. [`WallClockTicks`] supplies a real
 //!   [`TickSource`] for [`ExecBudget::with_deadline`].
 //!
 //! # Quick start

@@ -6,8 +6,9 @@
 //! engine reports — attaching one to an [`OnlineIndex`](crate::OnlineIndex)
 //! (via [`OnlineIndexBuilder::observability`](crate::OnlineIndexBuilder::observability)
 //! or [`OnlineIndex::set_observability`](crate::OnlineIndex::set_observability))
-//! turns the instrumentation on; without one the engine pays a single
-//! `Option` check per request.
+//! turns the instrumentation on. Without one, a request reads no clock
+//! and fires no trace event; the engine runs the same code, skipping
+//! each timer and event behind an `Option` check.
 //!
 //! # Metric names
 //!

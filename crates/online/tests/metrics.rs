@@ -38,9 +38,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use passjoin_online::{
-    CachePolicy, CollectSink, CollectingTraceSink, Completion, EngineObs, ExecBudget, ExecStats,
-    KeyBackend, ManualTicks, MatchSink, OnlineIndex, Parallelism, Queryable, SearchRequest,
-    SearchResponse, TickSource, TraceEvent, TruncationReason, WallClockTicks,
+    CacheOutcome, CachePolicy, CollectSink, CollectingTraceSink, Completion, EngineObs, ExecBudget,
+    ExecStats, KeyBackend, ManualTicks, MatchSink, OnlineIndex, Parallelism, Queryable,
+    SearchRequest, SearchResponse, TickSource, TraceEvent, TruncationReason, WallClockTicks,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,14 +187,16 @@ fn registry_equals_summed_stats_across_all_paths() {
             add_stats(&mut total, &outcome.stats);
             requests += 1;
         }
-        let reqs: Vec<SearchRequest> = queries
-            .iter()
-            .map(|q| SearchRequest::borrowed(q, 2))
-            .collect();
-        let response = batch_stream_discard(&index, &reqs);
-        for outcome in &response.outcomes {
-            add_stats(&mut total, &outcome.stats);
-            requests += 1;
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let reqs: Vec<SearchRequest> = queries
+                .iter()
+                .map(|q| SearchRequest::borrowed(q, 2).with_parallelism(parallelism))
+                .collect();
+            let response = batch_stream_discard(&index, &reqs);
+            for outcome in &response.outcomes {
+                add_stats(&mut total, &outcome.stats);
+                requests += 1;
+            }
         }
 
         assert_registry_matches(&obs, &total, requests);
@@ -365,6 +367,9 @@ fn observability_never_changes_results() {
                 if i % 5 == 0 {
                     req = req.with_limit(3);
                 }
+                if i % 7 == 3 {
+                    req = req.count_only();
+                }
                 req
             })
             .collect();
@@ -379,6 +384,31 @@ fn observability_never_changes_results() {
                 assert_eq!(e.completion, g.completion);
             }
         }
+        // Every streamed shape (plain, top-k, count-only, cache hits
+        // replayed from the buffered pass) answers alike on both, twice:
+        // streamed computations store nothing, so the passes agree.
+        let mut hits = 0;
+        for req in reqs.iter().chain(&reqs) {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let e = {
+                let mut sink = CollectSink::new(&mut a);
+                bare.search_streaming(req, &mut sink)
+            };
+            let g = {
+                let mut sink = CollectSink::new(&mut b);
+                collecting.search_streaming(req, &mut sink)
+            };
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "trace sink must not steer the scan");
+            assert_eq!(e.count, g.count);
+            assert_eq!(e.stats, g.stats);
+            assert_eq!(e.completion, g.completion);
+            assert_eq!(e.cache, g.cache);
+            hits += usize::from(g.cache == CacheOutcome::Hit);
+        }
+        assert!(hits > 0, "the buffered pass left hits to replay");
+        let streamed_emitting = 2 * reqs.iter().filter(|r| !r.is_count_only()).count();
         // Streaming parity too.
         for q in &queries {
             let req = SearchRequest::borrowed(q, 2);
@@ -418,7 +448,11 @@ fn observability_never_changes_results() {
             .iter()
             .filter(|e| matches!(e, TraceEvent::Flush { .. }))
             .count();
-        assert_eq!(flushes, queries.len(), "one Flush per streamed request");
+        assert_eq!(
+            flushes,
+            queries.len() + streamed_emitting,
+            "one Flush per streamed request that is not count-only"
+        );
         assert!(
             events
                 .iter()

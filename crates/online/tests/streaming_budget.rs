@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use passjoin_online::{
     CacheOutcome, CachePolicy, CollectSink, Completion, ExecBudget, ManualTicks, Match, MatchSink,
-    OnlineIndex, QueryOutcome, Queryable, SearchRequest, SearchResponse, TickSource,
+    OnlineIndex, Parallelism, QueryOutcome, Queryable, SearchRequest, SearchResponse, TickSource,
     TruncationReason,
 };
 use proptest::prelude::*;
@@ -115,25 +115,39 @@ fn collect_batch_streaming(
     (per_req, response)
 }
 
+/// Requests a batch needs before the engine spreads it over worker
+/// threads (two blocks of its work cursor).
+const PARALLEL_MIN: usize = 64;
+
 /// Contract 1, batch form: each request's own sink receives exactly that
 /// request's matches, equal to the buffered batch (requests may run on
-/// worker threads, so no cross-request emission order is assumed).
+/// worker threads, so no cross-request emission order is assumed). The
+/// batch runs serially as given, and again repeated to at least
+/// [`PARALLEL_MIN`] requests at `Threads(4)`.
 fn assert_batch_streaming_equals_buffered(index: &OnlineIndex, queries: &[Vec<u8>], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let reqs: Vec<SearchRequest> = queries
+    let serial: Vec<SearchRequest> = queries
         .iter()
         .map(|q| SearchRequest::borrowed(q, rng.gen_range(0..=index.tau_max())))
         .collect();
-    let buffered = index.search_batch(&reqs);
+    let parallel: Vec<SearchRequest> = serial
+        .iter()
+        .cycle()
+        .take(serial.len().max(PARALLEL_MIN))
+        .map(|req| req.clone().with_parallelism(Parallelism::Threads(4)))
+        .collect();
+    for reqs in [serial, parallel] {
+        let buffered = index.search_batch(&reqs);
 
-    let (mut per_req, response) = collect_batch_streaming(index, &reqs);
+        let (mut per_req, response) = collect_batch_streaming(index, &reqs);
 
-    assert_eq!(response.outcomes.len(), buffered.outcomes.len());
-    for (i, expected) in buffered.outcomes.iter().enumerate() {
-        per_req[i].sort_unstable();
-        assert_eq!(per_req[i], *expected.matches, "request {i}");
-        assert_eq!(response.outcomes[i].count, expected.count);
-        assert_eq!(response.outcomes[i].stats, expected.stats);
+        assert_eq!(response.outcomes.len(), buffered.outcomes.len());
+        for (i, expected) in buffered.outcomes.iter().enumerate() {
+            per_req[i].sort_unstable();
+            assert_eq!(per_req[i], *expected.matches, "request {i}");
+            assert_eq!(response.outcomes[i].count, expected.count);
+            assert_eq!(response.outcomes[i].stats, expected.stats);
+        }
     }
 }
 
