@@ -2,8 +2,12 @@
 //!
 //! # Structure
 //!
-//! The index owns its strings (`Box<[u8]>` per entry, `None` tombstones for
-//! removed ids) and keeps two lanes, mirroring the join drivers:
+//! The index keeps one string table. An index opened from a snapshot
+//! reads the ids below the file's universe in place, through the file's
+//! span table, for its whole life; removing one sets its bit in a
+//! bitset. Every id assigned after the open (all of a built index's)
+//! owns a `Box<[u8]>` in a tail, `None` once removed. Beside the table
+//! sit two lanes, mirroring the join drivers:
 //!
 //! * a **segment lane** — a [`SegmentStore`] partitioning every string of
 //!   length > τ_max into τ_max+1 segments (§3.1/§3.2 of the paper, without
@@ -35,6 +39,7 @@
 //! block and never observe partial mutations.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use editdist::{length_aware_within_ws, DpWorkspace};
@@ -254,60 +259,64 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// One string's storage: its own heap allocation, or a zero-copy span of
-/// the shared snapshot arena ([`Inner::arena`]). Strings inserted at
-/// runtime are always `Owned`; strings loaded from a snapshot stay
-/// `Arena` views for their whole life — loading never copies the corpus.
-#[derive(Debug, Clone)]
-enum Stored {
-    Owned(Box<[u8]>),
-    Arena { start: usize, len: usize },
-}
-
-/// A string table served straight out of a loaded snapshot buffer: per-id
-/// `(offset, len)` span entries are decoded on access instead of being
-/// materialized into [`Inner::strings`] up front. This is what keeps a
-/// snapshot open O(sections) — the span table (O(universe) to decode) is
-/// never walked until a mutation forces [`Inner::materialize`]. All
-/// offsets are relative to the whole file buffer ([`Inner::arena`]).
+/// A loaded snapshot's string table, read in place for the index's whole
+/// life: per-id `(offset, len)` span entries are decoded out of the file
+/// buffer on access, and removing a loaded id sets its bit in `removed`
+/// rather than rewriting anything. Nothing is stored per id beyond that
+/// bitset.
 ///
 /// The accessor does not validate: a span that escapes the arena section
 /// reads as a tombstone rather than slicing out of bounds, and
 /// [`verify_snapshot`](crate::verify_snapshot) (not this accessor) is
 /// responsible for rejecting the file.
 #[derive(Debug, Clone)]
-struct MappedSpans {
+struct LoadedStrings {
+    /// The loaded file buffer. Shared, never mutated; cloning the table
+    /// (snapshot copy-on-write) clones the `Arc`.
+    buf: SharedBytes,
     /// Byte offset of the span table within the buffer.
-    spans_start: usize,
+    spans: usize,
     /// Byte range of the string arena within the buffer.
-    arena_start: usize,
-    arena_len: usize,
-    universe: usize,
+    arena: Range<usize>,
+    /// Bit `id` is set once loaded id `id` is removed: ⌈universe/64⌉
+    /// words, allocated at the first removal.
+    removed: Vec<u64>,
+    /// Live loaded strings; reaching 0 releases the buffer (counted
+    /// apart from bytes: zero-length strings are live references too).
+    live: usize,
+    /// Bytes of the live loaded strings (stats accounting).
+    live_bytes: u64,
+    /// Whether the span walk ([`Inner::count_loaded`]) has run. Until it
+    /// does, `live` and `live_bytes` are META's counts.
+    counted: bool,
 }
 
-impl MappedSpans {
-    /// The whole-buffer span of `id`, or `None` for tombstones,
-    /// out-of-universe ids, and (unverified files) spans that escape the
-    /// arena.
-    fn span(&self, buf: &[u8], id: StringId) -> Option<(usize, usize)> {
-        let id = id as usize;
-        if id >= self.universe {
-            return None;
-        }
-        let (start, len) = crate::persist::span_entry(&buf[self.spans_start..], id)?;
-        let start = usize::try_from(start).ok()?;
-        if start
-            .checked_add(len)
-            .is_none_or(|end| end > self.arena_len)
+impl LoadedStrings {
+    /// The bytes of loaded id `id` (below the file's universe), or `None`
+    /// for tombstones, removed ids, and (unverified files) spans that
+    /// escape the arena.
+    fn get(&self, id: usize) -> Option<&[u8]> {
+        if self
+            .removed
+            .get(id / 64)
+            .is_some_and(|word| word >> (id % 64) & 1 != 0)
         {
             return None;
         }
-        Some((self.arena_start + start, len))
+        let buf: &[u8] = &self.buf;
+        let (start, len) = crate::persist::span_entry(&buf[self.spans..], id)?;
+        let start = usize::try_from(start).ok()?;
+        buf[self.arena.clone()].get(start..start.checked_add(len)?)
     }
 
-    fn get<'a>(&self, buf: &'a [u8], id: StringId) -> Option<&'a [u8]> {
-        let (start, len) = self.span(buf, id)?;
-        Some(&buf[start..start + len])
+    /// Marks live loaded id `id` (of `len` bytes) removed; returns `true`
+    /// when it was the last live loaded string.
+    fn remove(&mut self, id: usize, len: usize, universe: usize) -> bool {
+        self.removed.resize(universe.div_ceil(64), 0);
+        self.removed[id / 64] |= 1 << (id % 64);
+        self.live -= 1;
+        self.live_bytes -= len as u64;
+        self.live == 0
     }
 }
 
@@ -315,46 +324,41 @@ impl MappedSpans {
 #[derive(Debug, Clone)]
 pub(crate) struct Inner {
     tau_max: usize,
-    /// The loaded snapshot buffer that `Stored::Arena` spans point into
-    /// (`None` for indices built in memory). Shared, never mutated;
-    /// cloning the `Inner` (snapshot copy-on-write) clones the `Arc`.
-    /// Dropped once the last arena-backed string is removed.
-    arena: Option<SharedBytes>,
-    /// Live bytes still referencing the arena (stats accounting).
-    arena_live_bytes: u64,
-    /// Live strings still referencing the arena; reaching 0 releases it
-    /// (counted separately from bytes: zero-length strings are live
-    /// references too).
-    arena_live_strings: usize,
-    /// `strings[id]` is the string's bytes, or `None` once removed.
-    /// Empty while `mapped` is `Some` (a snapshot open of an all-long
-    /// collection): per-id lookups go through the buffer-resident span
-    /// table until the first mutation materializes it here.
-    strings: Vec<Option<Stored>>,
-    /// Total live string bytes (owned and arena-backed alike).
+    /// The opened file's string table, serving ids below `loaded`.
+    /// `None` for an index built in memory, and once the last loaded
+    /// string is removed.
+    table: Option<LoadedStrings>,
+    /// Ids below this came from the opened file (0 for a built index).
+    loaded: usize,
+    /// Strings inserted since the open (all of a built index's):
+    /// `tail[i]` is id `loaded + i`, `None` once removed.
+    tail: Vec<Option<Box<[u8]>>>,
+    /// Total live string bytes (loaded and owned alike).
     string_bytes: u64,
     live: usize,
     segments: SegmentStore,
-    /// Ascending ids of live strings with length ≤ τ_max. Empty while
-    /// `mapped` is `Some`: the lazy table is only used for snapshots
-    /// whose posting count proves every live string is long.
+    /// Ascending ids of live strings with length ≤ τ_max. Empty before
+    /// the span walk: it is deferred only when the posting count proves
+    /// every live string long.
     short: Vec<StringId>,
-    /// The lazy string table of a snapshot open, `None` once
-    /// materialized (or for indices built in memory or holding short
-    /// strings).
-    mapped: Option<MappedSpans>,
 }
 
-/// Resolves a stored string against the arena. A free function (not a
-/// method) so call sites can borrow `arena` and mutate sibling `Inner`
-/// fields simultaneously.
-fn resolve<'a>(arena: &'a Option<SharedBytes>, stored: &'a Stored) -> &'a [u8] {
-    match stored {
-        Stored::Owned(bytes) => bytes,
-        Stored::Arena { start, len } => {
-            let arena = arena.as_ref().expect("arena-backed string without arena");
-            &arena[*start..*start + *len]
-        }
+/// Takes live string `id` out of its lane. A free function (not a
+/// method) so a caller can hold the string's bytes, borrowed from a
+/// sibling `Inner` field, while the lanes are mutated.
+fn unindex(
+    segments: &mut SegmentStore,
+    short: &mut Vec<StringId>,
+    tau_max: usize,
+    s: &[u8],
+    id: StringId,
+) {
+    if s.len() > tau_max {
+        let removed = segments.remove(s, id);
+        debug_assert!(removed, "live string must be segment-indexed");
+    } else {
+        let pos = short.binary_search(&id).expect("live short id");
+        short.remove(pos);
     }
 }
 
@@ -431,89 +435,33 @@ impl Inner {
     fn new(tau_max: usize) -> Self {
         Self {
             tau_max,
-            arena: None,
-            arena_live_bytes: 0,
-            arena_live_strings: 0,
-            strings: Vec::new(),
+            table: None,
+            loaded: 0,
+            tail: Vec::new(),
             string_bytes: 0,
             live: 0,
             segments: SegmentStore::new(tau_max),
             short: Vec::new(),
-            mapped: None,
         }
     }
 
-    /// Reassembles an `Inner` from snapshot parts: the loaded file buffer,
-    /// per-id spans into it (`None` = tombstone), and the already-decoded
-    /// segment index. Strings stay zero-copy views of `arena`; the short
-    /// lane and byte accounting are rebuilt from the spans. Returns `Err`
-    /// when the parts are mutually inconsistent (checksums cannot catch a
-    /// file written with lying metadata).
-    pub(crate) fn from_loaded_parts(
-        tau_max: usize,
-        arena: SharedBytes,
-        spans: Vec<Option<(usize, usize)>>,
-        segments: SegmentStore,
-    ) -> Result<Self, &'static str> {
-        if segments.tau() != tau_max {
-            return Err("segment index tau does not match tau_max");
-        }
-        let mut strings = Vec::with_capacity(spans.len());
-        let mut short = Vec::new();
-        let mut string_bytes = 0u64;
-        let mut live = 0usize;
-        let mut long = 0u64;
-        for (id, span) in spans.into_iter().enumerate() {
-            let Some((start, len)) = span else {
-                strings.push(None);
-                continue;
-            };
-            if start.checked_add(len).is_none_or(|end| end > arena.len()) {
-                return Err("string span exceeds the arena");
-            }
-            if len > tau_max {
-                long += 1;
-            } else {
-                short.push(id as StringId); // ids ascend: lane stays sorted
-            }
-            string_bytes += len as u64;
-            live += 1;
-            strings.push(Some(Stored::Arena { start, len }));
-        }
-        // Every long live string contributes exactly τ_max+1 postings; a
-        // mismatch means the segment section and the string table describe
-        // different collections.
-        if segments.entries() != long * (tau_max as u64 + 1) {
-            return Err("segment postings do not cover the live strings");
-        }
-        Ok(Self {
-            tau_max,
-            arena: Some(arena),
-            arena_live_bytes: string_bytes,
-            arena_live_strings: live,
-            strings,
-            string_bytes,
-            live,
-            segments,
-            short,
-            mapped: None,
-        })
-    }
-
-    /// Reassembles an `Inner` without decoding the span table: per-id
-    /// lookups read spans straight out of `buf` (the loaded file) until
-    /// the first mutation materializes them. Only sound when the posting
-    /// count proves every live string is long (`entries ==
-    /// live·(τ_max+1)`) — then the short lane is provably empty and no
-    /// O(universe) scan is needed to build it. `spans` and `arena` are
-    /// the byte ranges of the respective sections within `buf`; the
-    /// caller has already validated the span-table geometry against
-    /// `universe`.
-    pub(crate) fn from_mapped_parts(
+    /// The state of an opened snapshot file: strings are read in place
+    /// out of `buf` (the loaded file), whose span table starts at byte
+    /// `spans` and whose arena occupies `arena`; `universe` and `live`
+    /// are META's counts. The caller has already validated the section
+    /// geometry against them.
+    ///
+    /// When the posting count proves every live string long (`entries ==
+    /// live·(τ_max+1)`) the short lane is provably empty, and the span
+    /// walk waits for the first mutation. Otherwise it runs here, and
+    /// returns `Err` when the spans and the postings describe different
+    /// collections (checksums cannot catch a file written with lying
+    /// metadata).
+    pub(crate) fn open(
         tau_max: usize,
         buf: SharedBytes,
-        spans: std::ops::Range<usize>,
-        arena: std::ops::Range<usize>,
+        spans: usize,
+        arena: Range<usize>,
         universe: usize,
         live: usize,
         segments: SegmentStore,
@@ -521,66 +469,69 @@ impl Inner {
         if segments.tau() != tau_max {
             return Err("segment index tau does not match tau_max");
         }
-        if segments.entries() != live as u64 * (tau_max as u64 + 1) {
-            return Err("segment postings do not cover the live strings");
-        }
         // The arena holds exactly the live strings' bytes back to back
-        // (see `save_inner`), so byte accounting needs no span walk.
-        let arena_len = arena.len();
-        Ok(Self {
+        // (see `save_inner`), so until the walk the byte count is its
+        // length.
+        let bytes = arena.len() as u64;
+        let mut inner = Self {
             tau_max,
-            arena: Some(buf),
-            arena_live_bytes: arena_len as u64,
-            arena_live_strings: live,
-            strings: Vec::new(),
-            string_bytes: arena_len as u64,
+            table: Some(LoadedStrings {
+                buf,
+                spans,
+                arena,
+                removed: Vec::new(),
+                live,
+                live_bytes: bytes,
+                counted: false,
+            }),
+            loaded: universe,
+            tail: Vec::new(),
+            string_bytes: bytes,
             live,
             segments,
             short: Vec::new(),
-            mapped: Some(MappedSpans {
-                spans_start: spans.start,
-                arena_start: arena.start,
-                arena_len,
-                universe,
-            }),
-        })
-    }
-
-    /// Converts a lazy span table into the materialized `strings` vector
-    /// (the representation every mutation works on). Counts are recomputed
-    /// from the spans actually decoded, so a file whose metadata lied
-    /// about them converges to internally consistent accounting; the
-    /// short lane is rebuilt the same way (normally empty — see
-    /// [`Inner::from_mapped_parts`] — but a corrupt file's short spans
-    /// land in it rather than desyncing `remove`).
-    fn materialize(&mut self) {
-        let Some(mapped) = self.mapped.take() else {
-            return;
         };
-        let buf = self.arena.as_ref().expect("mapped table without buffer");
-        let mut strings = Vec::with_capacity(mapped.universe);
-        let mut short = Vec::new();
-        let mut string_bytes = 0u64;
-        let mut live = 0usize;
-        for id in 0..mapped.universe as StringId {
-            match mapped.span(buf, id) {
-                Some((start, len)) => {
-                    if len <= self.tau_max {
-                        short.push(id); // ids ascend: lane stays sorted
-                    }
-                    string_bytes += len as u64;
-                    live += 1;
-                    strings.push(Some(Stored::Arena { start, len }));
-                }
-                None => strings.push(None),
+        let postings_per_string = tau_max as u64 + 1;
+        if inner.segments.entries() != live as u64 * postings_per_string {
+            inner.count_loaded();
+            if inner.live != live {
+                return Err("live spans disagree with the meta section");
+            }
+            // Every long live string contributes exactly τ_max+1 postings.
+            let long = (inner.live - inner.short.len()) as u64;
+            if inner.segments.entries() != long * postings_per_string {
+                return Err("segment postings do not cover the live strings");
             }
         }
-        self.strings = strings;
-        self.short = short;
-        self.string_bytes = string_bytes;
-        self.arena_live_bytes = string_bytes;
+        Ok(inner)
+    }
+
+    /// The one walk over the loaded span table, run before anything is
+    /// mutated (at open, or at the first mutation of an all-long file):
+    /// builds the short lane and recounts the live strings and bytes from
+    /// the spans actually read. A file whose metadata lied converges to
+    /// internally consistent accounting, and a hostile span reads as a
+    /// tombstone rather than desyncing `remove`.
+    fn count_loaded(&mut self) {
+        let Some(table) = self.table.as_mut().filter(|table| !table.counted) else {
+            return;
+        };
+        debug_assert!(self.tail.is_empty() && self.short.is_empty());
+        let (mut live, mut bytes) = (0usize, 0u64);
+        for id in 0..self.loaded {
+            if let Some(s) = table.get(id) {
+                if s.len() <= self.tau_max {
+                    self.short.push(id as StringId); // ids ascend: lane stays sorted
+                }
+                live += 1;
+                bytes += s.len() as u64;
+            }
+        }
+        table.counted = true;
+        table.live = live;
+        table.live_bytes = bytes;
         self.live = live;
-        self.arena_live_strings = live;
+        self.string_bytes = bytes;
     }
 
     pub(crate) fn tau_max(&self) -> usize {
@@ -592,22 +543,16 @@ impl Inner {
     }
 
     pub(crate) fn get(&self, id: StringId) -> Option<&[u8]> {
-        if let Some(mapped) = &self.mapped {
-            let buf = self.arena.as_ref().expect("mapped table without buffer");
-            return mapped.get(buf, id);
+        let id = id as usize;
+        match id.checked_sub(self.loaded) {
+            Some(i) => self.tail.get(i)?.as_deref(),
+            None => self.table.as_ref()?.get(id),
         }
-        self.strings
-            .get(id as usize)?
-            .as_ref()
-            .map(|stored| resolve(&self.arena, stored))
     }
 
     /// Size of the id universe (live strings + tombstones).
     pub(crate) fn universe(&self) -> usize {
-        match &self.mapped {
-            Some(mapped) => mapped.universe,
-            None => self.strings.len(),
-        }
+        self.loaded + self.tail.len()
     }
 
     pub(crate) fn segments(&self) -> &SegmentStore {
@@ -627,59 +572,58 @@ impl Inner {
             resident_bytes: self.segments.live_bytes()
                 + self.string_bytes
                 + self
-                    .arena
+                    .table
                     .as_ref()
-                    .map_or(0, |arena| arena.len() as u64 - self.arena_live_bytes),
+                    .map_or(0, |table| table.buf.len() as u64 - table.live_bytes),
             epoch,
         }
     }
 
     fn insert(&mut self, s: &[u8]) -> StringId {
-        self.materialize();
-        assert!(
-            self.strings.len() < u32::MAX as usize,
-            "online index exceeds u32 id space"
-        );
-        let id = self.strings.len() as StringId;
+        self.count_loaded();
+        let id = self.universe();
+        assert!(id < u32::MAX as usize, "online index exceeds u32 id space");
+        let id = id as StringId;
         if s.len() > self.tau_max {
             self.segments.insert(s, id);
         } else {
             self.short.push(id); // new ids are maximal: stays ascending
         }
-        self.strings.push(Some(Stored::Owned(s.into())));
+        self.tail.push(Some(s.into()));
         self.string_bytes += s.len() as u64;
         self.live += 1;
         id
     }
 
     fn remove(&mut self, id: StringId) -> bool {
-        self.materialize();
-        let Some(slot) = self.strings.get_mut(id as usize) else {
-            return false;
-        };
-        let Some(stored) = slot.take() else {
-            return false;
-        };
-        let bytes = resolve(&self.arena, &stored);
-        let len = bytes.len();
-        if len > self.tau_max {
-            let removed = self.segments.remove(bytes, id);
-            debug_assert!(removed, "live string must be segment-indexed");
-        } else {
-            let pos = self.short.binary_search(&id).expect("live short id");
-            self.short.remove(pos);
-        }
-        if let Stored::Arena { .. } = stored {
-            self.arena_live_bytes -= len as u64;
-            self.arena_live_strings -= 1;
-            if self.arena_live_strings == 0 {
-                // Nothing references the snapshot buffer any more: stop
-                // pinning it (a fully churned loaded index converges to
-                // the memory profile of a built one).
-                debug_assert_eq!(self.arena_live_bytes, 0);
-                self.arena = None;
+        self.count_loaded();
+        let at = id as usize;
+        let len = match at.checked_sub(self.loaded) {
+            Some(i) => {
+                let Some(s) = self.tail.get_mut(i).and_then(Option::take) else {
+                    return false;
+                };
+                unindex(&mut self.segments, &mut self.short, self.tau_max, &s, id);
+                s.len()
             }
-        }
+            None => {
+                let Some(table) = &mut self.table else {
+                    return false;
+                };
+                let Some(s) = table.get(at) else {
+                    return false;
+                };
+                let len = s.len();
+                unindex(&mut self.segments, &mut self.short, self.tau_max, s, id);
+                if table.remove(at, len, self.loaded) {
+                    // Nothing reads the file buffer any more: stop
+                    // pinning it (a fully churned loaded index converges
+                    // to the memory profile of a built one).
+                    self.table = None;
+                }
+                len
+            }
+        };
         self.string_bytes -= len as u64;
         self.live -= 1;
         true
@@ -1251,6 +1195,92 @@ mod tests {
         assert_eq!(index.search(&req).cache, CacheOutcome::Miss);
         assert_eq!(index.search(&req).cache, CacheOutcome::Miss);
         assert_eq!(index.cache_stats().hits, 0);
+    }
+
+    /// A snapshot of a loaded index keeps its length, strings, stats and
+    /// answers while the index removes loaded ids and inserts new strings:
+    /// the removal bitset and the owned tail are copied on write, never
+    /// shared. Run on a checked `load` and on an unchecked
+    /// `from_snapshot_file` open, over an all-long corpus (span walk
+    /// deferred to the first mutation) and one holding strings ≤ τ_max
+    /// (walked at open).
+    #[test]
+    fn snapshots_of_loaded_indexes_are_isolated() {
+        let all_long: Vec<Vec<u8>> = (0..64)
+            .map(|i| format!("loaded entry {:02}-{}", i / 2, ["a", "b"][i % 2]).into_bytes())
+            .collect();
+        let mut with_short = all_long.clone();
+        with_short[3] = b"ab".to_vec();
+        with_short[10] = Vec::new();
+        let queries: [&[u8]; 6] = [
+            b"loaded entry 01-a",
+            b"loaded entry 05-b",
+            b"new entry 1",
+            b"ab",
+            b"a",
+            b"",
+        ];
+        let answers = |snap: &Snapshot| -> Vec<Vec<Match>> {
+            queries.iter().map(|q| snap.matches(q, 2)).collect()
+        };
+        let path = std::env::temp_dir().join(format!(
+            "passjoin-online-isolation-{}.snap",
+            std::process::id()
+        ));
+        for strings in [all_long, with_short] {
+            let n = strings.len();
+            OnlineIndex::from_strings(strings.iter(), 2)
+                .save(&path)
+                .unwrap();
+            let file = passjoin_persist::SnapshotFile::open(&path).unwrap();
+            let opened = [
+                ("load", OnlineIndex::load(&path).unwrap()),
+                (
+                    "from_snapshot_file",
+                    OnlineIndex::from_snapshot_file(&file, None).unwrap(),
+                ),
+            ];
+            for (how, mut index) in opened {
+                let first = index.snapshot();
+                let first_stats = first.inner.stats(first.epoch);
+                let first_answers = answers(&first);
+                for id in [0, 3] {
+                    assert!(index.remove(id), "{how}");
+                }
+                let fresh = index.insert(b"new entry 1");
+                index.insert(b"a");
+                let mid = index.snapshot();
+                let mid_stats = mid.inner.stats(mid.epoch);
+                let mid_answers = answers(&mid);
+                for id in [10, 33, fresh] {
+                    assert!(index.remove(id), "{how}");
+                }
+
+                // The first snapshot still sees the file as loaded…
+                assert_eq!(first.len(), n, "{how}");
+                assert_eq!(first.inner.stats(first.epoch), first_stats, "{how}");
+                for (id, s) in strings.iter().enumerate() {
+                    assert_eq!(first.get(id as StringId), Some(&s[..]), "{how}");
+                }
+                assert_eq!(first.get(fresh), None, "{how}");
+                assert_eq!(answers(&first), first_answers, "{how}");
+                // …the middle one sees the first removals and inserts
+                // only…
+                assert_eq!(mid.len(), n, "{how}: two removed, two inserted");
+                assert_eq!(mid.inner.stats(mid.epoch), mid_stats, "{how}");
+                assert_eq!(mid.get(0), None, "{how}");
+                assert_eq!(mid.get(3), None, "{how}");
+                assert_eq!(mid.get(10), Some(&strings[10][..]), "{how}");
+                assert_eq!(mid.get(fresh), Some(&b"new entry 1"[..]), "{how}");
+                assert_eq!(answers(&mid), mid_answers, "{how}");
+                // …and the index sees every mutation.
+                assert_eq!(index.len(), n - 3, "{how}");
+                assert_eq!(index.get(10), None, "{how}");
+                assert_eq!(index.get(fresh), None, "{how}");
+                assert_ne!(answers(&index.snapshot()), mid_answers, "{how}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! allocated; the first mutation rebuilds the lane as the owned map. A
 //! file without them — **version 1** (6-field META, always section 4)
 //! or **version 2** — has its section 4 or 5 decoded into the owned map.
-//! Either way, strings stay zero-copy spans of the one file buffer, and
-//! when the posting count proves every live string long the span table
-//! itself is read lazily out of the buffer instead of being decoded.
+//! Either way, the index reads its loaded strings in place through the
+//! file's span table for its whole life: nothing is copied per id. One
+//! walk over the span table builds the short lane and the live and byte
+//! counts. It runs at open, or, when the posting count proves every live
+//! string long (so the short lane is empty), at the first mutation.
 //!
 //! Saving walks the index in id order, so output is deterministic — and
 //! independent of how the index was loaded: a direct-probe store writes
@@ -45,7 +47,8 @@
 //! so a CRC-valid file written by a buggy producer is rejected rather
 //! than trusted. [`OnlineIndex::load`] runs it before it returns, as does
 //! `passjoin-store`'s eager open; its instant open runs it on a
-//! background thread instead.
+//! background thread instead, unless a delta chain is to be replayed
+//! onto the file.
 
 use std::ops::Range;
 use std::path::Path;
@@ -100,8 +103,8 @@ fn corrupt(context: &'static str) -> PersistError {
 
 /// Decodes entry `id` of a SPANS payload: `Some((start, len))` for a
 /// live string (`start` relative to the arena, unchecked), `None` for a
-/// tombstone or an id past the table. `pub(crate)`: the lazy string
-/// table decodes entries on access.
+/// tombstone or an id past the table. `pub(crate)`: a loaded index's
+/// string table decodes entries on access.
 pub(crate) fn span_entry(spans: &[u8], id: usize) -> Option<(u64, usize)> {
     let entry = spans.get(id.checked_mul(SPAN_LEN)?..)?.get(..SPAN_LEN)?;
     let start = u64::from_le_bytes(entry[..8].try_into().unwrap());
@@ -158,7 +161,7 @@ impl OnlineIndex {
     /// every query byte-identically to the index that was saved.
     ///
     /// The index keeps the *entire* file buffer alive for as long as any
-    /// arena-backed string is live. That is a deliberate trade: one
+    /// loaded string is live. That is a deliberate trade: one
     /// buffer, one ownership story, and the layout the mmap path needs.
     /// Callers that must minimize heap can rebuild from the corpus
     /// instead.
@@ -193,26 +196,16 @@ impl OnlineIndex {
         let mut timer = obs.as_deref().map(PhaseTimer::new);
         let meta = Meta::read(file)?;
         let segments = open_store(file, &meta)?;
-        let arena = file.buffer().clone();
-        // When every live string is long the short lane is provably
-        // empty, so the span table is served lazily out of the buffer —
-        // the one O(universe) step an open would otherwise always pay.
-        let inner = if meta.all_long() {
-            Inner::from_mapped_parts(
-                meta.tau_max,
-                arena,
-                meta.spans.clone(),
-                meta.strings.clone(),
-                meta.universe,
-                meta.live,
-                segments,
-            )
-        } else {
-            let mut spans = Vec::with_capacity(meta.universe);
-            scan_spans(file, &meta, |span| spans.push(span))?;
-            Inner::from_loaded_parts(meta.tau_max, arena, spans, segments)
-        }
-        .map_err(|_| corrupt("snapshot sections are mutually inconsistent"))?;
+        let inner = Inner::open(
+            meta.tau_max,
+            file.buffer().clone(),
+            meta.spans.start,
+            meta.strings.clone(),
+            meta.universe,
+            meta.live,
+            segments,
+        )
+        .map_err(corrupt)?;
         if let Some(t) = timer.as_mut() {
             t.lap(|o| &o.snapshot_load_decode_ns);
         }
@@ -254,8 +247,9 @@ impl OnlineIndex {
 /// * no posting is longer than the longest live string.
 ///
 /// [`OnlineIndex::load`] runs it before returning; `passjoin-store` runs
-/// it before an eager open returns and on a background thread after an
-/// instant one, for every format version. It streams the span table and
+/// it before an eager open returns, before an instant open replays a
+/// delta chain, and otherwise on a background thread after an instant
+/// open, for every format version. It streams the span table and
 /// allocates one reference count per id. With `obs`, its duration lands
 /// in the load's validate phase.
 pub fn verify_snapshot(file: &SnapshotFile, obs: Option<&EngineObs>) -> Result<(), PersistError> {
@@ -271,7 +265,7 @@ fn check_snapshot(file: &SnapshotFile) -> Result<(), PersistError> {
     file.verify_all()?;
     let meta = Meta::read(file)?;
     let segments = open_store(file, &meta)?;
-    let longest = scan_spans(file, &meta, |_| ())?;
+    let longest = scan_spans(file, &meta)?;
     if let SegmentStore::Direct(index) = &segments {
         index.validate_deep(meta.universe).map_err(corrupt)?;
     }
@@ -364,40 +358,27 @@ impl Meta {
             strings,
         })
     }
-
-    /// True when the posting count proves every live string long
-    /// (`entries == live·(τ_max+1)`), so the short lane is empty.
-    fn all_long(&self) -> bool {
-        self.entries == self.live as u64 * (self.tau_max as u64 + 1)
-    }
 }
 
 /// Walks the span table in id order: every live span must lie inside the
-/// arena and the live count must match META. Hands each entry — rebased
-/// onto the whole file buffer, `None` for a tombstone — to `each`, and
-/// returns the longest live length.
-fn scan_spans(
-    file: &SnapshotFile,
-    meta: &Meta,
-    mut each: impl FnMut(Option<(usize, usize)>),
-) -> Result<usize, PersistError> {
+/// arena and the live count must match META. Returns the longest live
+/// length.
+fn scan_spans(file: &SnapshotFile, meta: &Meta) -> Result<usize, PersistError> {
     let spans = file.section(SEC_SPANS)?;
     let (mut live, mut longest) = (0usize, 0usize);
     for id in 0..meta.universe {
         let Some((start, len)) = span_entry(spans, id) else {
-            each(None);
             continue;
         };
-        let start = usize::try_from(start)
+        if usize::try_from(start)
             .ok()
-            .filter(|s| {
-                s.checked_add(len)
-                    .is_some_and(|end| end <= meta.strings.len())
-            })
-            .ok_or(corrupt("string span exceeds the arena"))?;
+            .and_then(|start| start.checked_add(len))
+            .is_none_or(|end| end > meta.strings.len())
+        {
+            return Err(corrupt("string span exceeds the arena"));
+        }
         live += 1;
         longest = longest.max(len);
-        each(Some((meta.strings.start + start, len)));
     }
     if live != meta.live {
         return Err(corrupt("live count disagrees with the meta section"));
@@ -414,7 +395,7 @@ fn open_store(file: &SnapshotFile, meta: &Meta) -> Result<SegmentStore, PersistE
     let store = if segdirect::has_direct_sections(file) {
         SegmentStore::Direct(segdirect::decode_direct(file, meta.tau_max)?)
     } else {
-        let longest = scan_spans(file, meta, |_| ())?;
+        let longest = scan_spans(file, meta)?;
         let (tau, universe) = (meta.tau_max, meta.universe);
         SegmentStore::Owned(if meta.backend == BACKEND_OWNED {
             segmap::decode(file.section(SEC_SEGMENTS)?, tau, universe, longest)?

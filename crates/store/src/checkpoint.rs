@@ -108,7 +108,9 @@ pub struct OpenOptions {
     /// postings-vs-strings cross-checks) on a background thread instead
     /// of before open returns, so a v3 open costs O(sections), not
     /// O(bytes). Queries are served immediately from the bounds-checked
-    /// view; see [`CheckpointedIndex::verification`] for the caveat.
+    /// view; see [`CheckpointedIndex::verification`] for the caveat. A
+    /// base with a delta chain is checked before the chain is replayed,
+    /// as an eager open checks it.
     pub instant: bool,
     /// Anchor the delta chain at this path instead of the base snapshot
     /// (`<anchor>.delta-1`, …) — for read-only snapshot locations, or to
@@ -162,7 +164,8 @@ struct LogState {
 /// Result of the background integrity check an instant open schedules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyState {
-    /// Still running (or never scheduled — eager opens are born `Ok`).
+    /// Still running (or never scheduled — opens that check before they
+    /// return are born `Ok`).
     Pending,
     /// [`verify_snapshot`] passed.
     Ok,
@@ -192,8 +195,8 @@ impl CheckpointedIndex {
     /// [`OnlineIndex::load`] does: the v3 direct appendix (no posting
     /// replay), or for v1/v2 files section 4 or 5 decoded into the owned
     /// map. [`verify_snapshot`] runs before this returns — or, with
-    /// [`OpenOptions::instant`], on a background thread, for every format
-    /// version.
+    /// [`OpenOptions::instant`] and no delta chain to replay, on a
+    /// background thread, for every format version.
     pub fn open(base: impl AsRef<Path>, options: OpenOptions) -> Result<Self, PersistError> {
         let base = base.as_ref().to_path_buf();
         let anchor = options
@@ -209,17 +212,23 @@ impl CheckpointedIndex {
 
         let (buf, _mapped) = open_bytes(&base, options.mmap)?;
         let file = SnapshotFile::parse_lazy(buf)?;
-        if !options.instant {
+        let chain = find_chain(&anchor);
+        // Replaying a chain mutates the base, and its first mutation
+        // rebuilds the segment lane out of the file's postings, which
+        // only a checked file is known to hold. That rebuild already
+        // costs O(postings), so deferring the check would gain nothing:
+        // an instant open defers it only when there is no chain.
+        let deferred = options.instant && chain.is_empty();
+        if !deferred {
             verify_snapshot(&file, engine_obs.as_deref())?;
         }
         let mut index = OnlineIndex::from_snapshot_file(&file, engine_obs.clone())?;
-        let verify = if options.instant {
+        let verify = if deferred {
             spawn_verifier(file, engine_obs, store_obs.clone())
         } else {
             Arc::new(Mutex::new(VerifyState::Ok))
         };
 
-        let chain = find_chain(&anchor);
         let mut replayed = 0u64;
         for path in &chain {
             let (meta, ops) = read_delta_file(path)?;
@@ -259,10 +268,11 @@ impl CheckpointedIndex {
         self.obs.as_ref()
     }
 
-    /// The state of the background integrity check. Eager opens are
-    /// `Ok` from construction. An instant open serves queries while the
-    /// check runs: the shallow-validated view is bounds-checked (reads
-    /// cannot go out of range), but until the check reports `Ok` a
+    /// The state of the background integrity check. Opens that check
+    /// before they return (eager ones, and instant ones with a delta
+    /// chain) are `Ok` from construction. An instant open serves queries
+    /// while the check runs: the shallow-validated view is bounds-checked
+    /// (reads cannot go out of range), but until the check reports `Ok` a
     /// corrupted-yet-CRC-consistent file could still return wrong
     /// results or panic the query thread — callers that cannot accept
     /// that window should poll this before going live, or open eagerly.

@@ -27,7 +27,9 @@
 //! as queries touch it. An eager open runs
 //! [`verify_snapshot`](passjoin_online::verify_snapshot) before it
 //! returns; an instant open ([`OpenOptions::instant`]) runs the same
-//! check on a background thread ([`CheckpointedIndex::verification`]).
+//! check on a background thread ([`CheckpointedIndex::verification`]),
+//! unless it has a delta chain to replay: the replay mutates the base,
+//! so the base is checked first.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -245,31 +245,40 @@ fn background_checkpointer_drains_on_stop() {
 
 #[test]
 fn instant_open_stays_mutable_and_materializes() {
-    let scratch = Scratch::new("instant-mutate");
-    let base = scratch.path("index.snap");
-    let mut twin = build_index(2, &corpus(90));
-    twin.save(&base).unwrap();
+    // An all-long corpus defers the span walk to the first mutation; the
+    // second holds strings ≤ τ_max, so its short lane is counted at open.
+    let mut with_short = corpus(90);
+    with_short[2] = b"ab".to_vec(); // removed by ROUND_ONE
+    with_short[7] = b"".to_vec();
+    with_short[8] = b"re".to_vec(); // within τ of the "rec" probe
+    for (name, strings) in [("all-long", corpus(90)), ("with-short", with_short)] {
+        let scratch = Scratch::new(&format!("instant-mutate-{name}"));
+        let base = scratch.path("index.snap");
+        let mut twin = build_index(2, &strings);
+        twin.save(&base).unwrap();
 
-    // The instant open serves strings lazily off the mapped span table;
-    // parity must hold before any materialization…
-    let instant =
-        CheckpointedIndex::open(&base, OpenOptions::new().mmap(true).instant(true)).unwrap();
-    assert_equivalent(&instant, &twin, "pristine instant open");
+        // The instant open reads strings in place off the mapped span
+        // table; parity must hold before any mutation…
+        let instant =
+            CheckpointedIndex::open(&base, OpenOptions::new().mmap(true).instant(true)).unwrap();
+        assert_equivalent(&instant, &twin, "pristine instant open");
 
-    // …and the first mutation (which materializes the table and rebuilds
-    // the accounting from the spans actually decoded) must keep it in
-    // lockstep with the eagerly built twin, including tombstone counts.
-    apply_to_twin(&mut twin, ROUND_ONE);
-    apply_to_store(&instant, ROUND_ONE);
-    assert_equivalent(&instant, &twin, "after materializing mutations");
-    assert_eq!(instant.stats().tombstones, twin.stats().tombstones);
-    assert_eq!(instant.wait_for_verification(), VerifyState::Ok);
+        // …and the first mutation (which runs any deferred span walk,
+        // recounting from the spans actually read, and rebuilds the
+        // segment lane) must keep it in lockstep with the eagerly built
+        // twin, including tombstone counts.
+        apply_to_twin(&mut twin, ROUND_ONE);
+        apply_to_store(&instant, ROUND_ONE);
+        assert_equivalent(&instant, &twin, "after materializing mutations");
+        assert_eq!(instant.stats().tombstones, twin.stats().tombstones);
+        assert_eq!(instant.wait_for_verification(), VerifyState::Ok);
 
-    // A save of the materialized state round-trips like any other.
-    let resaved = scratch.path("resaved.snap");
-    instant.save_full(&resaved).unwrap();
-    let reloaded = OnlineIndex::load(&resaved).unwrap();
-    assert_equivalent(&reloaded, &twin, "resaved after materialization");
+        // A save of the mutated state round-trips like any other.
+        let resaved = scratch.path("resaved.snap");
+        instant.save_full(&resaved).unwrap();
+        let reloaded = OnlineIndex::load(&resaved).unwrap();
+        assert_equivalent(&reloaded, &twin, "resaved after materialization");
+    }
 }
 
 #[test]
@@ -306,8 +315,8 @@ fn hostile_spans_read_as_tombstones_on_the_lazy_path() {
         "the hostile id must not match"
     );
 
-    // Materialization (first mutation) walks every span: no panic, and
-    // the hostile id stays dead.
+    // The first mutation walks every span: no panic, and the hostile id
+    // stays dead.
     instant.insert(b"record-0030-delta");
     assert!(!instant.remove(7), "hostile span materializes as tombstone");
     assert_eq!(instant.len(), 30, "29 survivors + 1 insert");
@@ -316,6 +325,47 @@ fn hostile_spans_read_as_tombstones_on_the_lazy_path() {
         instant.wait_for_verification(),
         VerifyState::Failed { .. }
     ));
+}
+
+/// A chained instant open replays the chain onto the base, and the
+/// replay's first mutation rebuilds the segment lane out of the file's
+/// postings. So the base is checked before the replay: a flipped byte
+/// in any section from the span table (2) to the id blob (9) fails the
+/// open instead of panicking it. Each flip gets a fresh file (a mapped
+/// file is never rewritten).
+#[test]
+fn chained_instant_opens_reject_a_corrupt_base() {
+    let scratch = Scratch::new("chained-instant-flips");
+    let source = scratch.path("source.snap");
+    build_index(2, &corpus(60)).save(&source).unwrap();
+    let store = CheckpointedIndex::open(&source, OpenOptions::new()).unwrap();
+    store.insert(b"record-0100-delta");
+    store.checkpoint().unwrap();
+    drop(store);
+    let delta = std::fs::read(delta_path(&source, 1)).unwrap();
+    let pristine = std::fs::read(&source).unwrap();
+    let file = passjoin_persist::SnapshotFile::parse_lazy(pristine.clone().into()).unwrap();
+    // Section 5 is absent: only the retired interned backend wrote it.
+    for section in file.section_ids().filter(|id| (2..=9).contains(id)) {
+        let range = file.section_range(section).unwrap();
+        let step = (range.len() / 64).max(1);
+        for at in range.step_by(step) {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0xff;
+            let base = scratch.path(&format!("flip-{at}.snap"));
+            std::fs::write(&base, &flipped).unwrap();
+            std::fs::write(delta_path(&base, 1), &delta).unwrap();
+            let options = OpenOptions::new().mmap(true).instant(true);
+            if let Ok(store) = CheckpointedIndex::open(&base, options) {
+                panic!(
+                    "section {section}: the flip at byte {at} opened ({:?})",
+                    store.verification()
+                );
+            }
+            std::fs::remove_file(delta_path(&base, 1)).unwrap();
+            std::fs::remove_file(&base).unwrap();
+        }
+    }
 }
 
 #[test]
