@@ -36,22 +36,15 @@
 //! count uses. A tripped budget therefore *always* means work was
 //! actually skipped.
 //!
-//! Two serving-layer pieces build on those hooks:
-//!
-//! * [`BudgetPool`] — an atomically drained *shared* budget: several
-//!   queries (a whole request batch, possibly on several threads) draw
-//!   their work units from one pool through a per-query
-//!   [`PoolBudgetSink`], so the batch's total work is capped even though
-//!   each query trips — and reports its truncation — individually.
-//! * [`pull_channel`] / [`PullMatchSink`] — a bounded backpressure
-//!   adapter inverting push to pull: verification pushes into a
-//!   fixed-capacity queue and *blocks* when the consumer lags, so a slow
-//!   consumer (a network socket) never forces unbounded buffering; a
-//!   dropped consumer saturates the sink and aborts the scan.
+//! [`BudgetPool`] builds on those hooks for the serving layer: an
+//! atomically drained *shared* budget. Several queries (a whole request
+//! batch, possibly on several threads) draw their work units from one
+//! pool through a per-query [`PoolBudgetSink`], so the batch's total work
+//! is capped even though each query trips — and reports its truncation —
+//! individually.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sj_common::StringId;
 
@@ -597,211 +590,6 @@ impl<S: MatchSink + ?Sized> MatchSink for PoolBudgetSink<'_, S> {
     }
 }
 
-/// State shared between a [`PullSender`] and its [`PullReceiver`].
-#[derive(Debug)]
-struct PullShared<T> {
-    queue: Mutex<VecDeque<T>>,
-    /// Signalled when the queue shrinks (or the receiver hangs up).
-    not_full: Condvar,
-    /// Signalled when the queue grows (or the sender closes).
-    not_empty: Condvar,
-    /// The receiver was dropped: sends fail, the producer should stop.
-    hung_up: AtomicBool,
-    /// The sender was dropped: the receiver drains and then ends.
-    closed: AtomicBool,
-    capacity: usize,
-    /// Largest queue length ever observed — lets tests pin boundedness.
-    high_water: AtomicU64,
-}
-
-/// A bounded blocking channel built for pull-style result streaming: the
-/// producing side (the engine pushing verified matches) **blocks** when
-/// the queue is full, so the consumer's pace — not the match rate — bounds
-/// memory. Created by [`pull_channel`].
-#[derive(Debug)]
-pub struct PullSender<T> {
-    shared: Arc<PullShared<T>>,
-}
-
-/// The consuming half of [`pull_channel`]; iterate to drain. Dropping it
-/// hangs up: blocked and future sends fail immediately, which a
-/// [`PullMatchSink`] surfaces as saturation so the producing scan aborts.
-#[derive(Debug)]
-pub struct PullReceiver<T> {
-    shared: Arc<PullShared<T>>,
-}
-
-/// A bounded blocking channel; see [`PullSender`]. `capacity` is clamped
-/// to at least 1 (a zero-capacity queue could never transfer anything).
-pub fn pull_channel<T>(capacity: usize) -> (PullSender<T>, PullReceiver<T>) {
-    let shared = Arc::new(PullShared {
-        queue: Mutex::new(VecDeque::new()),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        hung_up: AtomicBool::new(false),
-        closed: AtomicBool::new(false),
-        capacity: capacity.max(1),
-        high_water: AtomicU64::new(0),
-    });
-    (
-        PullSender {
-            shared: Arc::clone(&shared),
-        },
-        PullReceiver { shared },
-    )
-}
-
-impl<T> PullSender<T> {
-    /// Enqueues `value`, blocking while the queue is at capacity. Fails
-    /// (returning the value) once the receiver has hung up.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        let shared = &*self.shared;
-        if shared.hung_up.load(Ordering::Acquire) {
-            return Err(value);
-        }
-        let mut queue = shared.queue.lock().unwrap();
-        loop {
-            if shared.hung_up.load(Ordering::Acquire) {
-                return Err(value);
-            }
-            if queue.len() < shared.capacity {
-                queue.push_back(value);
-                shared
-                    .high_water
-                    .fetch_max(queue.len() as u64, Ordering::Relaxed);
-                drop(queue);
-                shared.not_empty.notify_one();
-                return Ok(());
-            }
-            queue = shared.not_full.wait(queue).unwrap();
-        }
-    }
-
-    /// True once the receiver was dropped — a non-blocking probe for
-    /// producers that want to stop *between* sends.
-    pub fn is_hung_up(&self) -> bool {
-        self.shared.hung_up.load(Ordering::Acquire)
-    }
-
-    /// Largest queue length ever reached. With a consumer slower than the
-    /// producer this converges to the channel capacity — and never beyond
-    /// it, which is the boundedness guarantee tests pin.
-    pub fn high_water(&self) -> u64 {
-        self.shared.high_water.load(Ordering::Relaxed)
-    }
-}
-
-impl<T> Drop for PullSender<T> {
-    fn drop(&mut self) {
-        // Under the queue lock: `recv` checks the flag and starts waiting
-        // in one critical section, so the store and the wake-up must not
-        // land between the two (a lost wakeup would block it forever).
-        let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.closed.store(true, Ordering::Release);
-        // Wake a receiver blocked on an empty queue so it can end.
-        self.shared.not_empty.notify_all();
-    }
-}
-
-impl<T> PullReceiver<T> {
-    /// Dequeues the next value, blocking while the queue is empty and the
-    /// sender is still alive. `None` once the sender is gone and the
-    /// queue is drained.
-    pub fn recv(&self) -> Option<T> {
-        let shared = &*self.shared;
-        let mut queue = shared.queue.lock().unwrap();
-        loop {
-            if let Some(value) = queue.pop_front() {
-                drop(queue);
-                shared.not_full.notify_one();
-                return Some(value);
-            }
-            if shared.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            queue = shared.not_empty.wait(queue).unwrap();
-        }
-    }
-
-    /// True when nothing is queued right now — a non-blocking probe for
-    /// consumers that batch their output and want to hand it on before
-    /// the next [`recv`](Self::recv) would wait on the producer.
-    pub fn is_empty(&self) -> bool {
-        self.shared
-            .queue
-            .lock()
-            .expect("a pull channel peer panicked holding the queue lock")
-            .is_empty()
-    }
-}
-
-impl<T> Iterator for PullReceiver<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.recv()
-    }
-}
-
-impl<T> Drop for PullReceiver<T> {
-    fn drop(&mut self) {
-        // Under the queue lock, for the same reason as the sender's drop.
-        let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.hung_up.store(true, Ordering::Release);
-        // Wake senders blocked on a full queue so they can fail fast.
-        self.shared.not_full.notify_all();
-    }
-}
-
-/// A [`MatchSink`] pushing each verified match into a [`PullSender`] —
-/// the backpressure adapter between the engine's push-based streaming and
-/// a pull-paced consumer (a socket writer). When the consumer hangs up,
-/// the sink saturates, aborting the scan through the standard early-exit
-/// path instead of verifying matches nobody will read.
-pub struct PullMatchSink {
-    tx: PullSender<(StringId, usize)>,
-    disconnected: bool,
-    pushed: u64,
-}
-
-impl PullMatchSink {
-    /// A sink feeding `tx`.
-    pub fn new(tx: PullSender<(StringId, usize)>) -> Self {
-        Self {
-            tx,
-            disconnected: false,
-            pushed: 0,
-        }
-    }
-
-    /// Matches successfully handed to the channel.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// True if the consumer hung up mid-stream (the result is partial
-    /// through no fault of the query's own).
-    pub fn disconnected(&self) -> bool {
-        self.disconnected
-    }
-}
-
-impl MatchSink for PullMatchSink {
-    fn push(&mut self, id: StringId, dist: usize) {
-        if self.disconnected {
-            return;
-        }
-        match self.tx.send((id, dist)) {
-            Ok(()) => self.pushed += 1,
-            Err(_) => self.disconnected = true,
-        }
-    }
-
-    fn saturated(&self) -> bool {
-        self.disconnected || self.tx.is_hung_up()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,132 +786,5 @@ mod tests {
         sink.push(9, 1);
         assert!(!sink.saturated());
         assert_eq!(inner.into_matches(), vec![(9, 1)]);
-    }
-
-    #[test]
-    fn pull_channel_transfers_in_order_and_ends() {
-        let (tx, rx) = pull_channel(4);
-        assert!(rx.is_empty());
-        for v in 0..3 {
-            tx.send(v).unwrap();
-        }
-        assert!(!rx.is_empty());
-        assert_eq!(rx.recv(), Some(0));
-        drop(tx);
-        assert!(!rx.is_empty(), "a closed channel still holds its queue");
-        assert_eq!(rx.collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn pull_channel_bounds_the_queue() {
-        let (tx, rx) = pull_channel(2);
-        let producer = std::thread::spawn(move || {
-            for v in 0..100u32 {
-                tx.send(v).unwrap();
-            }
-            tx.high_water()
-        });
-        // Drain slowly enough that the producer must block on capacity.
-        let mut seen = Vec::new();
-        for v in rx {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            seen.push(v);
-        }
-        let high_water = producer.join().unwrap();
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        assert!(
-            high_water <= 2,
-            "queue never exceeded capacity: {high_water}"
-        );
-    }
-
-    #[test]
-    fn pull_channel_receiver_drop_fails_senders() {
-        let (tx, rx) = pull_channel(1);
-        tx.send(1).unwrap();
-        assert!(!tx.is_hung_up());
-        drop(rx);
-        assert!(tx.is_hung_up());
-        assert_eq!(tx.send(2), Err(2));
-    }
-
-    #[test]
-    fn pull_channel_receiver_drop_unblocks_a_full_sender() {
-        let (tx, rx) = pull_channel(1);
-        tx.send(0).unwrap();
-        let producer = std::thread::spawn(move || tx.send(1));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        drop(rx); // producer is blocked on a full queue: wake + fail it
-        assert_eq!(producer.join().unwrap(), Err(1));
-    }
-
-    /// Races one drop against a peer parked in the channel, `ROUNDS` times.
-    /// `park` runs on a worker thread and reports its result; `hang_up`
-    /// runs here, released together with the worker by a barrier so the
-    /// drop lands as close as possible to the peer's check-then-wait. Each
-    /// round waits for the worker's report through a timeout, so a lost
-    /// wakeup fails the test instead of hanging it (the stranded worker is
-    /// then left behind; every other round is joined).
-    fn race_drop_against_parked_peer<R: Send + std::fmt::Debug + PartialEq + 'static>(
-        setup: impl Fn() -> (Box<dyn FnOnce() -> R + Send>, Box<dyn FnOnce()>),
-        expected: R,
-    ) {
-        const ROUNDS: usize = 3_000;
-        for round in 0..ROUNDS {
-            let (park, hang_up) = setup();
-            let start = Arc::new(std::sync::Barrier::new(2));
-            let (done_tx, done) = std::sync::mpsc::channel();
-            let worker_start = Arc::clone(&start);
-            let worker = std::thread::spawn(move || {
-                worker_start.wait();
-                let _ = done_tx.send(park());
-            });
-            start.wait();
-            hang_up();
-            let got = done.recv_timeout(std::time::Duration::from_secs(10));
-            if got == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
-                panic!("the parked peer never woke up (round {round})");
-            }
-            worker.join().expect("the parked peer panicked");
-            assert_eq!(got.as_ref(), Ok(&expected), "round {round}");
-        }
-    }
-
-    #[test]
-    fn pull_channel_sender_drop_wakes_a_blocked_receiver() {
-        race_drop_against_parked_peer(
-            || {
-                let (tx, rx) = pull_channel::<u32>(1);
-                (Box::new(move || rx.recv()), Box::new(move || drop(tx)))
-            },
-            None,
-        );
-    }
-
-    #[test]
-    fn pull_channel_receiver_drop_wakes_a_blocked_sender() {
-        race_drop_against_parked_peer(
-            || {
-                let (tx, rx) = pull_channel::<u32>(1);
-                tx.send(0).unwrap();
-                (Box::new(move || tx.send(1)), Box::new(move || drop(rx)))
-            },
-            Err(1),
-        );
-    }
-
-    #[test]
-    fn pull_match_sink_streams_and_saturates_on_hangup() {
-        let (tx, rx) = pull_channel(8);
-        let mut sink = PullMatchSink::new(tx);
-        sink.push(1, 0);
-        sink.push(2, 1);
-        assert!(!sink.saturated());
-        assert_eq!(sink.pushed(), 2);
-        drop(rx);
-        assert!(sink.saturated(), "hang-up is visible before the next push");
-        sink.push(3, 0);
-        assert!(sink.disconnected());
-        assert_eq!(sink.pushed(), 2, "post-hangup pushes are dropped");
     }
 }

@@ -127,30 +127,12 @@ impl SegmentStore {
         }
     }
 
-    /// The mutable map, rebuilding a direct store into one first. O(index)
-    /// once — the replay a v1/v2 load pays up front, paid here only when
-    /// a buffer-resident index is actually mutated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's direct sections are structurally corrupt
-    /// — only reachable on an instant open whose background
-    /// [`verify_snapshot`](crate::verify_snapshot) has not yet rejected
-    /// the file.
+    /// The mutable map. [`Inner::own_segments`] rebuilds a direct store
+    /// as one before the first mutation.
     fn owned_mut(&mut self) -> &mut OwnedSegmentIndex {
-        if let SegmentStore::Direct(index) = self {
-            let mut map = OwnedSegmentIndex::new(0, index.tau());
-            index
-                .try_visit_postings(|l, slot, key, ids| {
-                    map.restore_posting(l, slot, key.into(), ids.to_vec())
-                        .expect("direct postings replay into the owned map")
-                })
-                .expect("snapshot direct postings are structurally valid");
-            *self = SegmentStore::Owned(map);
-        }
         match self {
             SegmentStore::Owned(map) => map,
-            SegmentStore::Direct(_) => unreachable!("the direct store was just rebuilt"),
+            SegmentStore::Direct(_) => unreachable!("a direct store is rebuilt before a mutation"),
         }
     }
 
@@ -216,14 +198,40 @@ impl SegmentStore {
 
     /// Visits every posting as `(l, slot, key, ids)` in the deterministic
     /// `(l, slot, key)` order both stores share — the save path's visitor.
-    pub(crate) fn visit_postings(&self, mut f: impl FnMut(usize, usize, &[u8], &[StringId])) {
+    /// `Err` when a direct store's runs escape the file: an instant open
+    /// whose background [`verify_snapshot`](crate::verify_snapshot) has
+    /// not yet rejected it.
+    pub(crate) fn visit_postings(
+        &self,
+        mut f: impl FnMut(usize, usize, &[u8], &[StringId]),
+    ) -> Result<(), &'static str> {
         match self {
-            SegmentStore::Owned(map) => map.visit_postings(f),
-            SegmentStore::Direct(index) => index
-                .try_visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
-                .expect("loaded direct postings are structurally valid"),
+            SegmentStore::Owned(map) => {
+                map.visit_postings(f);
+                Ok(())
+            }
+            SegmentStore::Direct(index) => {
+                index.try_visit_postings(|l, slot, key, ids| f(l, slot, key, ids))
+            }
         }
     }
+}
+
+/// A direct store's postings replayed into the owned map, or `None` when
+/// they do not replay (a structurally corrupt file).
+fn replay(index: &DirectSegmentIndex) -> Option<OwnedSegmentIndex> {
+    let mut map = OwnedSegmentIndex::new(0, index.tau());
+    let mut replayed = true;
+    index
+        .try_visit_postings(|l, slot, key, ids| {
+            if replayed {
+                replayed = map
+                    .restore_posting(l, slot, key.into(), ids.to_vec())
+                    .is_ok();
+            }
+        })
+        .ok()?;
+    replayed.then_some(map)
 }
 
 /// Aggregate statistics of an [`OnlineIndex`] (for dashboards and the CLI).
@@ -579,8 +587,31 @@ impl Inner {
         }
     }
 
+    /// Rebuilds a direct segment lane as the owned map every mutation
+    /// needs: O(index), once, at the first mutation of an index opened on
+    /// a v3 file. The file's postings replay into the map. When they do
+    /// not, the file is corrupt and its background check has yet to say
+    /// so; the live long strings are partitioned again instead, so the
+    /// index stays consistent with the strings it reads.
+    fn own_segments(&mut self) {
+        let SegmentStore::Direct(index) = &self.segments else {
+            return;
+        };
+        let map = replay(index).unwrap_or_else(|| {
+            let mut map = OwnedSegmentIndex::new(0, self.tau_max);
+            for id in 0..self.universe() as StringId {
+                if let Some(s) = self.get(id).filter(|s| s.len() > self.tau_max) {
+                    map.insert_owned(s, id);
+                }
+            }
+            map
+        });
+        self.segments = SegmentStore::Owned(map);
+    }
+
     fn insert(&mut self, s: &[u8]) -> StringId {
         self.count_loaded();
+        self.own_segments();
         let id = self.universe();
         assert!(id < u32::MAX as usize, "online index exceeds u32 id space");
         let id = id as StringId;
@@ -597,6 +628,7 @@ impl Inner {
 
     fn remove(&mut self, id: StringId) -> bool {
         self.count_loaded();
+        self.own_segments();
         let at = id as usize;
         let len = match at.checked_sub(self.loaded) {
             Some(i) => {

@@ -109,9 +109,8 @@ pub use exec::Queryable;
 pub use index::{KeyBackend, OnlineIndex, OnlineIndexBuilder, OnlineStats, Snapshot};
 pub use obs::{wall_deadline, EngineObs, WallClockTicks};
 pub use passjoin::sink::{
-    pull_channel, BudgetPool, BudgetSink, CollectSink, CountSink, FnSink, ManualTicks, MatchSink,
-    PoolBudgetSink, PullMatchSink, PullReceiver, PullSender, TickSource, TopKSink,
-    TruncationReason,
+    BudgetPool, BudgetSink, CollectSink, CountSink, FnSink, ManualTicks, MatchSink, PoolBudgetSink,
+    TickSource, TopKSink, TruncationReason,
 };
 pub use passjoin_obs::{
     Clock, CollectingTraceSink, Counter, Gauge, Histogram, ManualNanos, MonotonicClock,

@@ -285,14 +285,17 @@ pub(crate) fn trace(obs: &EngineObs, event: TraceEvent) {
     obs.trace.event(event);
 }
 
-/// A real-time [`TickSource`]: a timer thread bumps an atomic tick
-/// counter every `period`, so
+/// A real-time [`TickSource`]: a timer thread wakes every `period` and
+/// stores the number of whole periods elapsed since construction in an
+/// atomic, so
 /// [`ExecBudget::with_deadline`](crate::ExecBudget::with_deadline) works
 /// against wall-clock time. [`ManualTicks`](crate::ManualTicks) remains
 /// the deterministic choice for tests.
 ///
 /// Resolution equals the period: a deadline of `now + n` expires between
-/// `(n-1)·period` and `(n+1)·period` of real time. Dropping the source
+/// `(n-1)·period` and `(n+1)·period` of real time. The tick count is read
+/// off the clock rather than counted per wake-up, so a late wake-up
+/// delays one store, and no error accumulates. Dropping the source
 /// signals the thread to exit at its next wake-up; the drop itself does
 /// not block.
 ///
@@ -312,7 +315,7 @@ pub struct WallClockTicks {
 }
 
 impl WallClockTicks {
-    /// Starts a timer thread advancing one tick per `period`.
+    /// Starts a timer thread advancing one tick per elapsed `period`.
     ///
     /// # Panics
     ///
@@ -321,6 +324,7 @@ impl WallClockTicks {
         assert!(!period.is_zero(), "tick period must be non-zero");
         let ticks = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        let origin = std::time::Instant::now();
         {
             let ticks = Arc::clone(&ticks);
             let stop = Arc::clone(&stop);
@@ -329,7 +333,9 @@ impl WallClockTicks {
                 .spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(period);
-                        ticks.fetch_add(1, Ordering::Relaxed);
+                        let elapsed = origin.elapsed().as_nanos() / period.as_nanos();
+                        let elapsed = u64::try_from(elapsed).unwrap_or(u64::MAX);
+                        ticks.store(elapsed, Ordering::Relaxed);
                     }
                 })
                 .expect("spawning the tick thread");
@@ -399,6 +405,19 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(source.ticks() > start);
+    }
+
+    #[test]
+    fn wall_clock_ticks_track_elapsed_milliseconds() {
+        let before = std::time::Instant::now();
+        let source = WallClockTicks::millis();
+        std::thread::sleep(Duration::from_millis(300));
+        let ticks = source.ticks();
+        let elapsed = before.elapsed().as_millis() as u64;
+        assert!(
+            (elapsed.saturating_sub(5)..=elapsed + 1).contains(&ticks),
+            "{ticks} ticks after {elapsed} ms"
+        );
     }
 
     #[test]

@@ -471,12 +471,15 @@ fn save_inner(
     // so a direct-loaded index writes exactly the sections a built one
     // does. Section 4 is still written for readers of the v3 layout; the
     // direct-probe appendix (sections 6–9) is what this build opens.
+    let mut visited = Ok(());
     let seg_payload = segmap::encode_with(segments.scheme(), segments.tau(), |f| {
-        segments.visit_postings(f)
+        visited = segments.visit_postings(f);
     });
+    visited.map_err(corrupt)?;
     let direct = segdirect::encode_direct(segments.scheme(), segments.tau(), |f| {
-        segments.visit_postings(f)
+        visited = segments.visit_postings(f);
     });
+    visited.map_err(corrupt)?;
     if let Some(t) = timer.as_mut() {
         t.lap(|o| &o.snapshot_save_encode_ns);
     }

@@ -29,23 +29,28 @@
 //!   atomically exactly as in the single-index engine.
 //!
 //! [`Queryable::search_streaming`] forwards every shard's pushes through
-//! one bounded [`pull_channel`](passjoin::sink::pull_channel): shard
-//! scans run on their own threads and push into the channel, the calling
-//! thread drains it into the caller's sink, and the caller sink's
-//! steering (a tightening `bound`, saturation) is mirrored back to every
-//! shard through shared atomics — a saturated caller hangs up the
-//! channel, which aborts all in-flight shard scans.
+//! one bounded [`std::sync::mpsc::sync_channel`]: shard scans run on
+//! their own threads and push into the channel, the calling thread
+//! drains it into the caller's sink, and the caller sink's steering (a
+//! tightening `bound`, saturation) is mirrored back to every shard
+//! through shared atomics — a saturated caller raises the shared stop
+//! flag and hangs up the channel, which aborts all in-flight shard scans.
+//!
+//! A panicking shard worker's payload is resumed on the calling thread,
+//! so the caller sees the shard's own panic message.
 //!
 //! Routing edge cases degrade to empty answers, never panics or hangs: a
 //! router with zero shards, an empty shard, or a length band containing
 //! no strings all produce [`Completion::Complete`] empty outcomes.
 
 use std::collections::BTreeMap;
+use std::panic;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 
-use passjoin::sink::{pull_channel, MatchSink, PullSender};
+use passjoin::sink::MatchSink;
 use passjoin::TopK;
 use passjoin_obs::{Counter, Gauge, Registry};
 use passjoin_persist::{Cursor, PersistError, SnapshotFile, SnapshotWriter};
@@ -596,7 +601,10 @@ impl ShardedIndex {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
                 .collect()
         })
     }
@@ -626,13 +634,12 @@ impl ShardedIndex {
         let tau = req.tau();
         let shared_bound = AtomicUsize::new(sink.bound(tau));
         let stop = AtomicBool::new(sink.saturated());
-        let (tx, rx) = pull_channel::<Match>(STREAM_QUEUE);
-        let tx = Arc::new(tx);
+        let (tx, rx) = mpsc::sync_channel::<Match>(STREAM_QUEUE);
         let mut emitted = 0usize;
         let parts: Vec<QueryOutcome> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(targets.len());
             for (ti, &s) in targets.iter().enumerate() {
-                let tx = Arc::clone(&tx);
+                let tx = tx.clone();
                 let shard = &self.shards[s];
                 let sub = split_request(req, targets.len(), ti);
                 let shared_bound = &shared_bound;
@@ -654,7 +661,7 @@ impl ShardedIndex {
             // Only shard threads may now hold senders, so the drain loop
             // terminates when the last shard finishes.
             drop(tx);
-            while let Some((id, dist)) = rx.recv() {
+            while let Ok((id, dist)) = rx.recv() {
                 sink.push(id, dist);
                 emitted += 1;
                 shared_bound.store(sink.bound(tau), Ordering::Relaxed);
@@ -668,7 +675,10 @@ impl ShardedIndex {
             drop(rx);
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard stream worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
                 .collect()
         });
         let mut merged = merge_outcomes(req, parts);
@@ -810,11 +820,11 @@ impl MatchSink for RemapSink<'_> {
 
 /// A shard's sink during multi-shard streaming: remaps ids, queues pushes
 /// on the shared channel, and mirrors the caller sink's steering (read
-/// from shared atomics the drain loop maintains). A hung-up channel —
-/// the caller saturated or dropped out — reads as saturation, aborting
+/// from shared atomics the drain loop maintains). The stop flag (the
+/// caller saturated) or a hung-up channel reads as saturation, aborting
 /// the shard's scan.
 struct ShardStreamSink<'a> {
-    tx: Arc<PullSender<Match>>,
+    tx: SyncSender<Match>,
     ids: &'a [StringId],
     shared_bound: &'a AtomicUsize,
     stop: &'a AtomicBool,
@@ -836,7 +846,7 @@ impl MatchSink for ShardStreamSink<'_> {
     }
 
     fn saturated(&self) -> bool {
-        self.disconnected || self.stop.load(Ordering::Relaxed) || self.tx.is_hung_up()
+        self.disconnected || self.stop.load(Ordering::Relaxed)
     }
 }
 

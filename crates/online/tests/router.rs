@@ -30,8 +30,9 @@ mod common;
 use std::sync::Arc;
 
 use passjoin_online::{
-    BatchBudget, CollectSink, CountSink, ExecBudget, KeyBackend, Match, OnlineIndex, PersistError,
-    QueryOutcome, Queryable, SearchRequest, ShardBy, ShardedIndex,
+    BatchBudget, CollectSink, CountSink, ExecBudget, ExecSource, KeyBackend, Match, MatchSink,
+    OnlineIndex, PersistError, QueryOutcome, Queryable, SearchRequest, SearchResponse, ShardBy,
+    ShardedIndex,
 };
 use passjoin_persist::{SnapshotFile, SnapshotWriter};
 use rand::rngs::StdRng;
@@ -411,6 +412,48 @@ fn dyn_shards_from_snapshots_agree() {
             assert_eq!(router.matches(q, tau), index.matches(q, tau));
         }
     }
+}
+
+/// A dyn shard whose engine panics on every search, beside good ones.
+struct Boom(OnlineIndex);
+
+impl Queryable for Boom {
+    fn exec_source(&self) -> Option<ExecSource<'_>> {
+        self.0.exec_source()
+    }
+
+    fn search_batch(&self, _: &[SearchRequest]) -> SearchResponse {
+        panic!("shard boom")
+    }
+
+    fn search_streaming(&self, _: &SearchRequest, _: &mut dyn MatchSink) -> QueryOutcome {
+        panic!("shard boom")
+    }
+}
+
+/// A router over one good and one panicking dyn shard (full fan-out, so
+/// each query runs on a worker thread per shard).
+fn good_and_boom() -> ShardedIndex {
+    let good = single(&corpus(20, 91));
+    let ids = (0..good.len() as u32).collect();
+    ShardedIndex::from_dyn_shards(
+        vec![Box::new(good), Box::new(Boom(OnlineIndex::new(TAU_MAX)))],
+        vec![ids, Vec::new()],
+        TAU_MAX,
+    )
+}
+
+/// A shard worker's panic reaches the caller with its own message.
+#[test]
+#[should_panic(expected = "shard boom")]
+fn a_shard_panic_keeps_its_message_in_a_batch() {
+    good_and_boom().search_batch(&[SearchRequest::borrowed(b"abc", 1)]);
+}
+
+#[test]
+#[should_panic(expected = "shard boom")]
+fn a_shard_panic_keeps_its_message_in_a_stream() {
+    stream(&good_and_boom(), &SearchRequest::borrowed(b"abc", 1));
 }
 
 /// Contract 5: save/load round-trips, for both policies, and the

@@ -25,14 +25,11 @@
 //! - [`Client`] — a blocking client used by the CLI `client`
 //!   subcommand and the loopback tests.
 //!
-//! Streaming responses (`"stream":true`) run the engine on a separate
-//! scoped thread and hand matches to the connection writer through the
-//! bounded [`pull_channel`](passjoin_online::pull_channel): when the
-//! socket is slow the channel fills and the *engine* blocks, so a slow
-//! reader can never force unbounded buffering on the server. The
-//! high-water mark of that channel is exported as the
-//! `passjoin_server_stream_buffered_peak` gauge, which is how the
-//! loopback suite pins the boundedness claim.
+//! Streaming responses (`"stream":true`) run the engine on the
+//! connection's own thread, and its sink writes each match to the socket
+//! as it is found: when the socket is slow the write blocks and so does
+//! the *engine*, so a slow reader can never force unbounded buffering on
+//! the server, and a failed write aborts the scan.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -12,23 +12,20 @@
 //! connection collects its response lines in one write buffer instead of
 //! writing each line on its own. The buffer goes out in one `write_all`
 //! after each request line's terminator, after a `line_too_long` error,
-//! whenever it passes a fixed 64 KiB, and, on a streamed line, whenever
-//! the engine has nothing queued — so a found match never waits on the
-//! rest of the scan. A one-query line therefore costs one write and no
-//! delayed-acknowledgement wait, on either end ([`crate::Client`] sends
-//! each request line in one write on a nodelay socket too).
+//! whenever it passes a fixed 64 KiB, and, on a streamed line, after each
+//! match — so a found match never waits on the rest of the scan. A
+//! one-query line therefore costs one write and no delayed-acknowledgement
+//! wait, on either end ([`crate::Client`] sends each request line in one
+//! write on a nodelay socket too).
 //!
-//! **Backpressure** (the design constraint from the roadmap): streamed
-//! responses never buffer more than [`ServerConfig::stream_buffer`]
-//! matches in the channel plus one write buffer of at most 64 KiB (and
-//! the line that pushed it past) server-side. The engine runs on a
-//! helper thread pushing into a bounded [`pull_channel`]; the connection
-//! thread pulls and writes. That thread is the connection's own, spawned
-//! at its first streamed line and kept until it closes, so a streamed
-//! line costs a hand-off, not a thread spawn and join. A slow socket
-//! fills the channel and *blocks the engine* (bounded memory); a dead
-//! socket drops the receiver, which saturates the engine's sink and
-//! aborts the scan (bounded work).
+//! **Backpressure** (the design constraint from the roadmap): a streamed
+//! line runs the engine on the connection's own thread, and the engine's
+//! sink writes each match to the socket as it is found. A slow socket
+//! blocks that write and with it the engine, so nothing queues
+//! server-side beyond one write buffer of at most 64 KiB (and the line
+//! that pushed it past): bounded memory. A failed write — a dead socket,
+//! or one stuck past [`ServerConfig::write_timeout`] — saturates the
+//! sink and aborts the scan: bounded work.
 //!
 //! **Budgets**: client-requested caps are intersected with the server's
 //! ceiling via [`ExecBudget::clamped_by`] — a client can only tighten.
@@ -48,15 +45,13 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, Scope};
+use std::sync::Arc;
 use std::time::Duration;
 
 use passjoin::sink::MatchSink;
 use passjoin_obs::{Counter, Gauge, Registry};
 use passjoin_online::{
-    wall_deadline, BatchBudget, ExecBudget, PullReceiver, PullSender, QueryOutcome, Queryable,
-    SearchRequest, WallClockTicks,
+    wall_deadline, BatchBudget, ExecBudget, Queryable, SearchRequest, WallClockTicks,
 };
 use sj_common::StringId;
 
@@ -77,10 +72,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-write timeout; a socket stuck longer is treated as dead.
     pub write_timeout: Duration,
-    /// Streamed-response channel capacity: the most matches ever queued
-    /// between the engine and the connection per streaming request (the
-    /// connection's write buffer holds at most 64 KiB of lines besides).
-    pub stream_buffer: usize,
     /// τ used by query lines that do not set one.
     pub default_tau: usize,
     /// Server-side verification-cap ceiling applied to every query.
@@ -103,7 +94,6 @@ impl Default for ServerConfig {
             max_batch: 1024,
             read_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(30),
-            stream_buffer: 256,
             default_tau: 1,
             max_verify_ceiling: None,
             max_candidates_ceiling: None,
@@ -127,7 +117,6 @@ impl Default for ServerConfig {
 /// | `passjoin_server_matches_total` | counter | matches sent to clients |
 /// | `passjoin_server_bytes_read_total` | counter | bytes read from clients |
 /// | `passjoin_server_bytes_written_total` | counter | bytes written to clients |
-/// | `passjoin_server_stream_buffered_peak` | gauge | largest streamed-response queue observed |
 #[derive(Debug, Clone)]
 pub struct ServeObs {
     /// Connections accepted.
@@ -146,9 +135,6 @@ pub struct ServeObs {
     pub bytes_read_total: Counter,
     /// Bytes written to clients.
     pub bytes_written_total: Counter,
-    /// Largest streamed-response queue length observed (bounded by
-    /// [`ServerConfig::stream_buffer`] — the backpressure invariant).
-    pub stream_buffered_peak: Gauge,
 }
 
 impl ServeObs {
@@ -163,15 +149,6 @@ impl ServeObs {
             matches_total: registry.counter("passjoin_server_matches_total"),
             bytes_read_total: registry.counter("passjoin_server_bytes_read_total"),
             bytes_written_total: registry.counter("passjoin_server_bytes_written_total"),
-            stream_buffered_peak: registry.gauge("passjoin_server_stream_buffered_peak"),
-        }
-    }
-
-    fn note_stream_peak(&self, high_water: u64) {
-        // Monotone max; a lost race between connections only under-reports
-        // momentarily and the next scrape catches up.
-        if (high_water as i64) > self.stream_buffered_peak.get() {
-            self.stream_buffered_peak.set(high_water as i64);
         }
     }
 }
@@ -300,17 +277,6 @@ impl Server {
             obs: &self.obs,
             buf: Vec::with_capacity(4096),
         };
-        // The scope joins the streamed lines' engine thread, if one was
-        // spawned, once the line loop has returned.
-        thread::scope(|scope| self.serve_lines(&mut conn, &mut Engine::new(source, scope)))
-    }
-
-    /// The line loop of [`serve_connection`](Self::serve_connection).
-    fn serve_lines(
-        &self,
-        conn: &mut Connection<'_>,
-        engine: &mut Engine<'_, '_>,
-    ) -> io::Result<()> {
         let mut pending: Vec<u8> = Vec::new();
         let mut idle = Duration::ZERO;
         // Oversized line in progress: already reported, discarding bytes.
@@ -350,14 +316,14 @@ impl Server {
                 let line = &line[..nl];
                 if line.len() > self.config.max_line_bytes {
                     // Whole but too long: refuse it like a partial one.
-                    self.line_too_long(conn)?;
+                    self.line_too_long(&mut conn)?;
                     continue;
                 }
                 let line = line.strip_suffix(b"\r").unwrap_or(line);
                 if line.is_empty() {
                     continue;
                 }
-                let outcome = self.serve_line(line, engine, conn)?;
+                let outcome = self.serve_line(line, source, &mut conn)?;
                 // The terminator is buffered: the response leaves in one write.
                 conn.flush()?;
                 if let LineOutcome::Shutdown = outcome {
@@ -368,7 +334,7 @@ impl Server {
             if !discarding && pending.len() > self.config.max_line_bytes {
                 // No newline yet and already too long: answer now, then
                 // skip bytes until the line finally ends.
-                self.line_too_long(conn)?;
+                self.line_too_long(&mut conn)?;
                 pending.clear();
                 discarding = true;
             } else if discarding {
@@ -393,7 +359,7 @@ impl Server {
     fn serve_line(
         &self,
         line: &[u8],
-        engine: &mut Engine<'_, '_>,
+        source: &(dyn Queryable + Sync),
         conn: &mut Connection<'_>,
     ) -> io::Result<LineOutcome> {
         self.obs.requests_total.inc(1);
@@ -433,7 +399,7 @@ impl Server {
                 Ok(LineOutcome::Continue)
             }
             Request::Query(spec) => {
-                match self.serve_query(spec, engine, conn)? {
+                match self.serve_query(spec, source, conn)? {
                     Ok(summary) => {
                         self.obs.queries_total.inc(summary.queries);
                         self.obs.matches_total.inc(summary.matches);
@@ -487,10 +453,9 @@ impl Server {
     fn serve_query(
         &self,
         spec: QuerySpec,
-        engine: &mut Engine<'_, '_>,
+        source: &(dyn Queryable + Sync),
         conn: &mut Connection<'_>,
     ) -> io::Result<Result<DoneSummary, RequestError>> {
-        let source = engine.source;
         let tau = spec.tau.unwrap_or(self.config.default_tau);
         if tau > source.tau_max() {
             return Ok(Err(RequestError {
@@ -503,9 +468,7 @@ impl Server {
             .batch
             .as_ref()
             .map(|batch| BatchBudget::new(self.budget_of(batch)));
-        // Owned requests (the query bytes move, no copy) can go to the
-        // engine thread of a streamed line.
-        let requests: Vec<SearchRequest<'static>> = spec
+        let requests: Vec<SearchRequest<'_>> = spec
             .queries
             .into_iter()
             .map(|q| {
@@ -528,9 +491,12 @@ impl Server {
 
         let mut summary = DoneSummary::default();
         if spec.stream && !spec.count {
-            if let Err(e) = self.stream_query(requests, engine, conn, &mut summary)? {
-                return Ok(Err(e));
-            }
+            let Ok(written) = panic::catch_unwind(AssertUnwindSafe(|| {
+                stream_requests(source, &requests, conn, &mut summary)
+            })) else {
+                return Ok(Err(engine_panicked()));
+            };
+            written?;
         } else {
             let Ok(response) =
                 panic::catch_unwind(AssertUnwindSafe(|| source.search_batch(&requests)))
@@ -549,136 +515,29 @@ impl Server {
         }
         Ok(Ok(summary))
     }
-
-    /// Streams one query line through the bounded pull channel: the
-    /// connection's engine thread pushes, this (connection) thread pulls
-    /// and writes — see the module docs for the backpressure contract.
-    /// Results nest like `serve_query`'s; a panicked engine is the inner
-    /// error.
-    fn stream_query(
-        &self,
-        requests: Vec<SearchRequest<'static>>,
-        engine: &mut Engine<'_, '_>,
-        conn: &mut Connection<'_>,
-        summary: &mut DoneSummary,
-    ) -> io::Result<Result<(), RequestError>> {
-        let (tx, rx) = passjoin_online::pull_channel::<StreamItem>(self.config.stream_buffer);
-        // A panic unwinds the engine's run, dropping its sender: the drain
-        // has already ended, and the run's result reports it.
-        let (written, ran) = engine.stream(requests, tx, || drain_stream(rx, conn, summary));
-        if let Ok(high_water) = &ran {
-            self.obs.note_stream_peak(*high_water);
-        }
-        written?;
-        Ok(ran.map(|_| ()).map_err(|_| engine_panicked()))
-    }
 }
 
-/// A streamed line's work for the engine thread: its requests and the
-/// channel its items go into.
-type StreamJob = (Vec<SearchRequest<'static>>, PullSender<StreamItem>);
-
-/// The source a connection serves, plus the thread its streamed lines
-/// run the engine on. That thread is spawned at the connection's first
-/// streamed line and kept until the connection closes, so each streamed
-/// line after the first costs a hand-off instead of a thread spawn and
-/// join.
-struct Engine<'scope, 'env> {
-    source: &'env (dyn Queryable + Sync),
-    scope: &'scope Scope<'scope, 'env>,
-    /// The engine thread's job queue and result channel, once spawned.
-    thread: Option<(mpsc::Sender<StreamJob>, mpsc::Receiver<thread::Result<u64>>)>,
-}
-
-impl<'scope, 'env> Engine<'scope, 'env> {
-    fn new(source: &'env (dyn Queryable + Sync), scope: &'scope Scope<'scope, 'env>) -> Self {
-        Self {
-            source,
-            scope,
-            thread: None,
-        }
-    }
-
-    /// Runs `requests` on the engine thread, pushing into `tx`, while
-    /// `drain` runs on this one. Returns `drain`'s result and the run's:
-    /// the channel's high-water mark, or the panic that ended the run.
-    fn stream<R>(
-        &mut self,
-        requests: Vec<SearchRequest<'static>>,
-        tx: PullSender<StreamItem>,
-        drain: impl FnOnce() -> R,
-    ) -> (R, thread::Result<u64>) {
-        let (source, scope) = (self.source, self.scope);
-        let (jobs, ran) = self.thread.get_or_insert_with(|| {
-            let (jobs, queued) = mpsc::channel::<StreamJob>();
-            let (results, ran) = mpsc::channel();
-            scope.spawn(move || {
-                // Ends when the connection drops `jobs`.
-                for (requests, tx) in queued {
-                    let result =
-                        panic::catch_unwind(AssertUnwindSafe(|| run_stream(source, &requests, tx)));
-                    if results.send(result).is_err() {
-                        break;
-                    }
-                }
-            });
-            (jobs, ran)
-        });
-        // The thread stops only once `jobs` is dropped, and catches every
-        // panic a job raises, so it takes and answers every job.
-        jobs.send((requests, tx))
-            .expect("the engine thread outlives its job queue");
-        let drained = drain();
-        let ran = ran.recv().expect("the engine thread answers every job");
-        (drained, ran)
-    }
-}
-
-/// The engine's half of a streamed line: runs `requests` in order,
-/// pushing their matches and end-of-query items into `tx`, and returns
-/// the channel's high-water mark. Dropping `tx` on return closes the
-/// channel, which ends the drain.
-fn run_stream(
+/// Runs a streamed line's requests in order on the connection's thread:
+/// each match is written as the engine finds it, and each query's
+/// end-of-query line follows its scan. A failed write ends the line.
+fn stream_requests(
     source: &(dyn Queryable + Sync),
     requests: &[SearchRequest<'_>],
-    tx: PullSender<StreamItem>,
-) -> u64 {
-    for (q, req) in requests.iter().enumerate() {
-        let mut sink = StreamSink {
-            tx: &tx,
-            q,
-            disconnected: false,
-        };
-        let outcome = source.search_streaming(req, &mut sink);
-        let gone = sink.disconnected;
-        if gone || tx.send(StreamItem::Eoq(q, outcome)).is_err() {
-            break; // client is gone; stop the whole line
-        }
-    }
-    tx.high_water()
-}
-
-/// Writes a streamed line's items as the engine produces them, handing
-/// the buffer to the socket whenever the engine has nothing queued.
-/// Owning `rx` is what makes a write failure safe: returning drops it,
-/// hanging up on the engine, so a sender blocked on a full channel fails
-/// instead of waiting forever on the join that follows.
-fn drain_stream(
-    rx: PullReceiver<StreamItem>,
     conn: &mut Connection<'_>,
     summary: &mut DoneSummary,
 ) -> io::Result<()> {
-    while let Some(item) = rx.recv() {
-        match item {
-            StreamItem::Match(q, id, dist) => conn.send_line(&proto::match_line(q, id, dist))?,
-            StreamItem::Eoq(q, outcome) => {
-                summary.absorb(&outcome);
-                conn.send_line(&proto::eoq_line(q, outcome.count, &outcome.completion))?;
-            }
+    for (q, req) in requests.iter().enumerate() {
+        let mut sink = WireSink {
+            conn: &mut *conn,
+            q,
+            failed: None,
+        };
+        let outcome = source.search_streaming(req, &mut sink);
+        if let Some(e) = sink.failed {
+            return Err(e);
         }
-        if rx.is_empty() {
-            conn.flush()?;
-        }
+        summary.absorb(&outcome);
+        conn.send_line(&proto::eoq_line(q, outcome.count, &outcome.completion))?;
     }
     Ok(())
 }
@@ -696,36 +555,29 @@ enum LineOutcome {
     Shutdown,
 }
 
-/// One unit of a streamed response on its way from the engine thread to
-/// the connection thread.
-enum StreamItem {
-    /// A verified match: `(in-line query index, id, distance)`.
-    Match(usize, StringId, usize),
-    /// A query finished; its outcome closes the query on the wire.
-    Eoq(usize, QueryOutcome),
-}
-
-/// A [`MatchSink`] tagging each match with its in-line query index and
-/// pushing it into the bounded channel; a hung-up channel (the writer
-/// saw a dead socket) saturates the sink, aborting the scan.
-struct StreamSink<'a> {
-    tx: &'a PullSender<StreamItem>,
+/// A [`MatchSink`] writing each match of in-line query `q` to the socket
+/// as soon as the engine pushes it. A failed write saturates the sink,
+/// aborting the scan, and is kept for the caller to return.
+struct WireSink<'c, 'a> {
+    conn: &'c mut Connection<'a>,
     q: usize,
-    disconnected: bool,
+    failed: Option<io::Error>,
 }
 
-impl MatchSink for StreamSink<'_> {
+impl MatchSink for WireSink<'_, '_> {
     fn push(&mut self, id: StringId, dist: usize) {
-        if self.disconnected {
-            return;
-        }
-        if self.tx.send(StreamItem::Match(self.q, id, dist)).is_err() {
-            self.disconnected = true;
+        if self.failed.is_none() {
+            let line = proto::match_line(self.q, id, dist);
+            self.failed = self
+                .conn
+                .send_line(&line)
+                .and_then(|()| self.conn.flush())
+                .err();
         }
     }
 
     fn saturated(&self) -> bool {
-        self.disconnected || self.tx.is_hung_up()
+        self.failed.is_some()
     }
 }
 

@@ -12,10 +12,9 @@
 //! 2. **Resilience** — malformed, oversized, and invalid lines get
 //!    typed error terminators and the connection keeps serving.
 //! 3. **Backpressure** — a slow streaming reader still gets every
-//!    match, and the server-side queue never exceeds the configured
-//!    `stream_buffer` (scraped from `passjoin_server_stream_buffered_peak`);
-//!    a client that hangs up mid-stream saturates the engine's sink,
-//!    and the server serves on.
+//!    match; a reader that stops reading stops the engine, whose writes
+//!    block on the full socket; a client that hangs up mid-stream
+//!    saturates the engine's sink, and the server serves on.
 //! 4. **Budgets** — server ceilings clamp client budgets; a `batch`
 //!    budget is drained across the whole line.
 //! 5. **Lifecycle** — graceful shutdown drains in-flight connections;
@@ -30,7 +29,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -660,22 +659,88 @@ fn a_client_gone_mid_stream_stops_the_engine_and_the_server_serves_on() {
     );
 }
 
+/// A source whose streamed queries, after their own matches, push one
+/// match over and over until the sink saturates or `PUSH_BOUND` pushes
+/// have gone, counting them: an engine that out-produces any socket.
+struct PushesUntilSaturated<'a> {
+    inner: &'a OnlineIndex,
+    pushes: AtomicU64,
+}
+
+const PUSH_BOUND: u64 = 20_000_000;
+
+impl Queryable for PushesUntilSaturated<'_> {
+    fn exec_source(&self) -> Option<ExecSource<'_>> {
+        self.inner.exec_source()
+    }
+
+    fn search_streaming(&self, req: &SearchRequest, sink: &mut dyn MatchSink) -> QueryOutcome {
+        let outcome = self.inner.search_streaming(req, sink);
+        while !sink.saturated() && self.pushes.load(Ordering::SeqCst) < PUSH_BOUND {
+            sink.push(0, 0);
+            self.pushes.fetch_add(1, Ordering::SeqCst);
+        }
+        outcome
+    }
+}
+
 #[test]
-fn slow_reader_is_bounded_by_the_stream_buffer_and_loses_nothing() {
+fn a_reader_that_stops_reading_stops_the_engine() {
+    let strings = corpus(60, 13);
+    let index = build(&strings, 1, KeyBackend::Owned);
+    let source = PushesUntilSaturated {
+        inner: &index,
+        pushes: AtomicU64::new(0),
+    };
+    with_server(
+        &source,
+        ServerConfig::default(),
+        Arc::new(Registry::new()),
+        |addr, _| {
+            let mut client = Client::connect(addr).unwrap();
+            let options = QueryOptions {
+                tau: Some(1),
+                stream: true,
+                ..QueryOptions::default()
+            };
+            client
+                .query_nowait(&[strings[0].clone()], &options)
+                .unwrap();
+            // Read nothing: once the socket buffers fill, the server's
+            // write blocks, and the engine with it.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let stalled = loop {
+                let before = source.pushes.load(Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(200));
+                let after = source.pushes.load(Ordering::SeqCst);
+                if after == before && after > 0 {
+                    break after;
+                }
+                assert!(Instant::now() < deadline, "the engine never stalled");
+            };
+            assert!(
+                stalled < PUSH_BOUND,
+                "the engine pushed all {stalled} matches into a reader that reads nothing"
+            );
+            let first = client.read_event().unwrap();
+            assert!(matches!(first, Some(Event::Match { .. })), "{first:?}");
+            // Hanging up with unread bytes fails the server's blocked
+            // write, which saturates the sink and ends the engine's loop.
+        },
+    );
+}
+
+#[test]
+fn a_slow_reader_loses_nothing() {
     // A corpus of near-identical strings: one streamed query at τ=2
-    // matches nearly everything, producing far more matches than the
-    // 4-slot channel can hold at once.
+    // matches nearly everything.
     let mut strings = Vec::new();
     for i in 0..96u8 {
         strings.push(vec![b'a', b'b', b'c', b'd', b'e', b'a' + (i % 4)]);
     }
     let index = build(&strings, 2, KeyBackend::Owned);
-    let config = ServerConfig {
-        stream_buffer: 4,
-        ..ServerConfig::default()
-    };
     let registry = Arc::new(Registry::new());
-    with_server(&index, config, Arc::clone(&registry), |addr, server| {
+    with_server(&index, ServerConfig::default(), registry, |addr, _| {
         let offline = index.search(&SearchRequest::borrowed(&strings[0], 2));
         assert!(offline.count > 16, "corpus must out-produce the buffer");
 
@@ -690,8 +755,7 @@ fn slow_reader_is_bounded_by_the_stream_buffer_and_loses_nothing() {
             .unwrap();
         let mut got = Vec::new();
         loop {
-            // The slow reader: dawdle between pulls so the server-side
-            // channel genuinely fills and the engine blocks on it.
+            // The slow reader: dawdle between pulls.
             std::thread::sleep(Duration::from_millis(1));
             match client.read_event().unwrap().expect("no EOF mid-response") {
                 Event::Match { id, d, .. } => got.push((id as u32, d as usize)),
@@ -708,18 +772,6 @@ fn slow_reader_is_bounded_by_the_stream_buffer_and_loses_nothing() {
         }
         got.sort_unstable();
         assert_eq!(got, *offline.matches, "a slow reader loses nothing");
-
-        let peak = server.obs().stream_buffered_peak.get();
-        assert!(
-            (1..=4).contains(&peak),
-            "server-side streaming queue peaked at {peak}, budget is 4"
-        );
-        // And the scrape agrees with the handle.
-        let dump = client.metrics(MetricsFormat::Prometheus).unwrap();
-        assert_eq!(
-            metric_value(&dump, "passjoin_server_stream_buffered_peak"),
-            Some(peak)
-        );
     });
 }
 

@@ -368,6 +368,43 @@ fn chained_instant_opens_reject_a_corrupt_base() {
     }
 }
 
+/// Without a chain, an instant open checks its file in the background,
+/// so a save or the first mutation can run before the check reports. A
+/// flipped byte in any section from the span table (2) to the id blob (9)
+/// must then cost the save an error and the insert a rebuilt segment
+/// lane, never a panic, and the check must still fail the file. `remove`
+/// is left out: a flipped key byte can replay into postings that
+/// disagree with the strings.
+#[test]
+fn saves_and_inserts_before_the_check_survive_a_corrupt_file() {
+    let scratch = Scratch::new("instant-flips");
+    let source = scratch.path("source.snap");
+    build_index(2, &corpus(60)).save(&source).unwrap();
+    let pristine = std::fs::read(&source).unwrap();
+    let file = passjoin_persist::SnapshotFile::parse_lazy(pristine.clone().into()).unwrap();
+    let resaved = scratch.path("resaved.snap");
+    for section in file.section_ids().filter(|id| (2..=9).contains(id)) {
+        let range = file.section_range(section).unwrap();
+        let step = (range.len() / 64).max(1);
+        for at in range.step_by(step) {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0xff;
+            let base = scratch.path(&format!("flip-{at}.snap"));
+            std::fs::write(&base, &flipped).unwrap();
+            let options = OpenOptions::new().mmap(true).instant(true);
+            if let Ok(store) = CheckpointedIndex::open(&base, options) {
+                let _ = store.save_full(&resaved);
+                store.insert(b"record-0100-delta");
+                assert!(
+                    matches!(store.wait_for_verification(), VerifyState::Failed { .. }),
+                    "section {section}: the check passed the flip at byte {at}"
+                );
+            }
+            std::fs::remove_file(&base).unwrap();
+        }
+    }
+}
+
 #[test]
 fn chains_from_a_different_base_are_rejected() {
     let scratch = Scratch::new("wrong-base");
