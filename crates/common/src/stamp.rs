@@ -29,13 +29,6 @@ impl StampSet {
         self.stamps.len()
     }
 
-    /// Grows the universe to at least `universe` ids, keeping contents.
-    pub fn grow(&mut self, universe: usize) {
-        if universe > self.stamps.len() {
-            self.stamps.resize(universe, 0);
-        }
-    }
-
     /// Empties the set. O(1) except once every `u32::MAX` clears, when the
     /// stamp array must be zeroed to avoid epoch collisions.
     #[inline]
@@ -103,17 +96,6 @@ mod tests {
         let s = StampSet::new(3);
         assert!(!s.contains(0), "fresh StampSet must be empty");
         assert!(!s.contains(2), "fresh StampSet must be empty");
-    }
-
-    #[test]
-    fn grow_preserves_semantics() {
-        let mut s = StampSet::new(2);
-        s.clear();
-        s.insert(1);
-        s.grow(8);
-        assert!(s.contains(1));
-        assert!(!s.contains(7));
-        assert!(s.insert(7));
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!
 //! [`edit_distance`] (the unrestricted O(nm) dynamic program) is the
 //! reference implementation every other kernel is property-tested against.
+//!
+//! Beside the kernels sits a screen that runs no DP at all:
+//! [`char_signature`] and [`signature_bound`] bound the distance from
+//! below by the characters two strings do not share, so a candidate whose
+//! bound exceeds τ can be rejected before any kernel runs.
 
 pub mod banded;
 pub mod extension;
@@ -25,6 +30,7 @@ pub mod length_aware;
 pub mod myers;
 pub mod naive;
 pub mod shared;
+pub mod signature;
 
 pub use banded::{banded_within, banded_within_ws};
 pub use extension::{verify_extension, ExtensionVerifier, Occurrence};
@@ -33,6 +39,7 @@ pub use length_aware::{length_aware_within, length_aware_within_ws};
 pub use myers::{myers_distance, myers_within};
 pub use naive::NaiveJoin;
 pub use shared::SharedMatrix;
+pub use signature::{char_signature, signature_bound};
 
 /// Cell value standing in for "outside the band / unreachable".
 /// `u32::MAX / 2` leaves headroom so `INF + 1` cannot wrap.

@@ -1,10 +1,11 @@
 //! Property tests: every optimized kernel must agree with the O(nm)
 //! reference dynamic program on arbitrary inputs, including the shared and
-//! extension verifiers under their scan protocols.
+//! extension verifiers under their scan protocols, and the signature
+//! screen must never bound the distance from above.
 
 use editdist::{
-    banded_within, edit_distance, length_aware_within, myers_distance, verify_extension,
-    ExtensionVerifier, Occurrence, SharedMatrix,
+    banded_within, char_signature, edit_distance, length_aware_within, myers_distance,
+    signature_bound, verify_extension, ExtensionVerifier, Occurrence, SharedMatrix,
 };
 use proptest::prelude::*;
 
@@ -16,6 +17,42 @@ fn small_string() -> impl Strategy<Value = Vec<u8>> {
 /// Longer strings over a wider alphabet for band geometry coverage.
 fn wide_string() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(97u8..=122, 0..40)
+}
+
+/// Strings over every byte value, so distinct bytes share a signature
+/// bit (`c & 63`).
+fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..=255, 0..24)
+}
+
+/// Up to four edits as `(kind, position, byte)`: 0 substitutes, 1
+/// inserts, 2 deletes.
+fn byte_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    proptest::collection::vec((0u8..3, any::<usize>(), 0u8..=255), 0..5)
+}
+
+/// Applies `edits` to a copy of `s`; an edit that needs a byte `s` no
+/// longer has is skipped.
+fn edited(s: &[u8], edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    let mut out = s.to_vec();
+    for &(kind, at, byte) in edits {
+        match kind {
+            0 if !out.is_empty() => {
+                let at = at % out.len();
+                out[at] = byte;
+            }
+            1 => {
+                let at = at % (out.len() + 1);
+                out.insert(at, byte);
+            }
+            2 if !out.is_empty() => {
+                let at = at % out.len();
+                out.remove(at);
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 proptest! {
@@ -43,6 +80,23 @@ proptest! {
     fn banded_agrees_on_wide_inputs(a in wide_string(), b in wide_string(), tau in 0usize..12) {
         let d = edit_distance(&a, &b);
         prop_assert_eq!(banded_within(&a, &b, tau), (d <= tau).then_some(d));
+    }
+
+    #[test]
+    fn signature_bound_never_exceeds_the_distance(
+        a in byte_string(),
+        b in byte_string(),
+        edits in byte_edits(),
+    ) {
+        // Unrelated strings, and `a` against a few edits of itself (the
+        // bound is tight there: each edit can flip two bits).
+        let near = edited(&a, &edits);
+        for other in [&b, &near] {
+            let bound = signature_bound(char_signature(&a), char_signature(other));
+            let d = edit_distance(&a, other);
+            prop_assert!(bound <= d, "bound {} above distance {} for {:?} / {:?}", bound, d, a, other);
+        }
+        prop_assert!(edit_distance(&a, &near) <= edits.len());
     }
 
     #[test]

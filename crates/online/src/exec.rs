@@ -32,8 +32,9 @@
 //! * **The batch driver** serves buffered and streamed batches alike.
 //!   Mixed-τ batches are first-class; workers pull blocks of the
 //!   `(length, τ)`-sorted order off an atomic cursor, keep private
-//!   scratch (dedup stamps, DP rows), and write position-aligned
-//!   outcomes. A worker's panic reaches the caller with its own message.
+//!   scratch (the query's accepted ids, DP rows), and write
+//!   position-aligned outcomes. A worker's panic reaches the caller with
+//!   its own message.
 //! * **Cache integration** — cacheable requests (policy
 //!   [`CachePolicy::Use`](crate::CachePolicy::Use)) consult the source's
 //!   epoch-validated LRU cache, and any shape is derived from a stored
@@ -43,6 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use editdist::signature_bound;
 use passjoin::online_window;
 use passjoin::partition::{PartitionScheme, SegmentSpec};
 use passjoin::sink::{
@@ -520,7 +522,7 @@ fn run_plan<S: MatchSink + ?Sized>(
 ) {
     debug_assert_eq!(query.len(), plan.query_len);
     debug_assert_eq!(tau, plan.tau);
-    scratch.begin(inner.universe());
+    scratch.begin(query);
     for &rid in &plan.short_ids {
         if sink.saturated() {
             return;
@@ -563,8 +565,8 @@ fn run_plan<S: MatchSink + ?Sized>(
 }
 
 /// Probes one `(length, slot)` inverted index with the substrings of
-/// `query` in `window`, screening candidates with the extension cascade
-/// and pushing `(id, exact distance)` matches into the sink.
+/// `query` in `window`, screening candidates ([`screen_list`]) and
+/// pushing `(id, exact distance)` matches into the sink.
 #[allow(clippy::too_many_arguments)]
 fn probe_occurrences<S: MatchSink + ?Sized>(
     inner: &Inner,
@@ -589,8 +591,9 @@ fn probe_occurrences<S: MatchSink + ?Sized>(
     }
 }
 
-/// Screens one inverted list's candidates with the extension cascade
-/// (§5.2) and pushes accepted `(id, exact distance)` matches.
+/// Screens one inverted list's candidates with the character signature
+/// and then the extension cascade (§5.2), and pushes accepted
+/// `(id, exact distance)` matches.
 #[allow(clippy::too_many_arguments)]
 fn screen_list<S: MatchSink + ?Sized>(
     inner: &Inner,
@@ -613,7 +616,7 @@ fn screen_list<S: MatchSink + ?Sized>(
             return; // budget tripped: this candidate is skipped
         }
         stats.candidates += 1;
-        if scratch.resolved.contains(rid) {
+        if scratch.resolved.contains(&rid) {
             continue; // already accepted this query
         }
         // The sink's bound only shrinks, so rejecting against the value
@@ -635,6 +638,11 @@ fn screen_list<S: MatchSink + ?Sized>(
             return; // budget tripped: this verification is skipped
         }
         stats.verifications += 1;
+        // One edit flips at most two signature bits, so this reject never
+        // drops a match; it counts as a verification that failed early.
+        if signature_bound(scratch.query_sig, inner.signature(rid, r)) > bound {
+            continue;
+        }
         // Extension cascade (§5.2) under mixed budgets: the partition
         // geometry contributes i−1 / τ_max+1−i, the query budget
         // contributes the sink bound — the pigeonhole witness satisfies
@@ -651,10 +659,13 @@ fn screen_list<S: MatchSink + ?Sized>(
         {
             continue;
         }
-        // The alignment certifies ed ≤ bound; report it exactly.
-        let d = scratch
-            .exact_within(r, query, bound)
-            .expect("extension certificate implies distance <= bound");
+        // The alignment certifies ed ≤ bound; report it exactly. On a
+        // corrupt file whose check is pending, an indexed segment may
+        // disagree with the string read in place: then no certificate
+        // holds, and the candidate fails.
+        let Some(d) = scratch.exact_within(r, query, bound) else {
+            continue;
+        };
         scratch.resolved.insert(rid);
         stats.segment_matches += 1;
         sink.push(rid, d);

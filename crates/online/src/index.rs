@@ -29,6 +29,14 @@
 //! budgets — left `min(i−1, τ)`, right `min(τ_max+1−i, τ−d_left)` — and
 //! accepted matches are reported with their **exact** distance.
 //!
+//! Before the cascade, a candidate whose characters differ from the
+//! query's in more than 2τ buckets of a 64-bit presence signature is
+//! rejected ([`editdist::signature_bound`]): one edit flips at most two
+//! bits, so no match is lost. An owned string's signature is stored
+//! beside its bytes, so that reject never reads them; a loaded string's
+//! is computed from the bytes it reads in place, and nothing is added to
+//! the snapshot file.
+//!
 //! # Concurrency
 //!
 //! All state lives behind an [`Arc`]; [`OnlineIndex::snapshot`] hands out a
@@ -42,9 +50,9 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use editdist::{length_aware_within_ws, DpWorkspace};
+use editdist::{char_signature, length_aware_within_ws, DpWorkspace};
 use passjoin::{DirectSegmentIndex, OwnedSegmentIndex, PartitionScheme};
-use sj_common::stamp::StampSet;
+use sj_common::hash::FxHashSet;
 use sj_common::{SharedBytes, StringId};
 
 use crate::cache::{CacheStats, QueryCache};
@@ -341,6 +349,9 @@ pub(crate) struct Inner {
     /// Strings inserted since the open (all of a built index's):
     /// `tail[i]` is id `loaded + i`, `None` once removed.
     tail: Vec<Option<Box<[u8]>>>,
+    /// `tail_sigs[i]` is the [`char_signature`] of `tail[i]`'s string,
+    /// kept after a removal.
+    tail_sigs: Vec<u64>,
     /// Total live string bytes (loaded and owned alike).
     string_bytes: u64,
     live: usize,
@@ -370,12 +381,17 @@ fn unindex(
     }
 }
 
-/// Reusable per-thread scratch for the engine: dedup stamps, DP rows, and
-/// — when observability is attached — the request's verify timer. Batch
-/// workers keep one each, so queries allocate nothing per call.
-#[derive(Debug)]
+/// Reusable per-thread scratch for the engine: the query's accepted ids
+/// and signature, DP rows, and — when observability is attached — the
+/// request's verify timer. Batch workers keep one each, so a query's
+/// allocations grow with its matches, never with the index.
+#[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
-    pub(crate) resolved: StampSet,
+    /// Segment-lane ids this query has accepted, so a string found
+    /// through several segments is reported once.
+    pub(crate) resolved: FxHashSet<StringId>,
+    /// The query's [`char_signature`].
+    pub(crate) query_sig: u64,
     pub(crate) ws: DpWorkspace,
     /// Installed per request when observability is attached; accumulates
     /// nanoseconds spent inside exact edit-distance verification. With
@@ -397,21 +413,11 @@ impl fmt::Debug for VerifyTimer {
     }
 }
 
-impl Default for QueryScratch {
-    fn default() -> Self {
-        Self {
-            resolved: StampSet::new(0),
-            ws: DpWorkspace::new(),
-            vtimer: None,
-        }
-    }
-}
-
 impl QueryScratch {
-    /// Prepares for one query over an id universe of the given size.
-    pub(crate) fn begin(&mut self, universe: usize) {
-        self.resolved.grow(universe);
+    /// Prepares for one query.
+    pub(crate) fn begin(&mut self, query: &[u8]) {
         self.resolved.clear();
+        self.query_sig = char_signature(query);
     }
 
     /// Exact thresholded edit distance using the scratch DP rows. When a
@@ -446,6 +452,7 @@ impl Inner {
             table: None,
             loaded: 0,
             tail: Vec::new(),
+            tail_sigs: Vec::new(),
             string_bytes: 0,
             live: 0,
             segments: SegmentStore::new(tau_max),
@@ -494,6 +501,7 @@ impl Inner {
             }),
             loaded: universe,
             tail: Vec::new(),
+            tail_sigs: Vec::new(),
             string_bytes: bytes,
             live,
             segments,
@@ -555,6 +563,16 @@ impl Inner {
         match id.checked_sub(self.loaded) {
             Some(i) => self.tail.get(i)?.as_deref(),
             None => self.table.as_ref()?.get(id),
+        }
+    }
+
+    /// The [`char_signature`] of live string `id`, whose bytes are `s`:
+    /// stored for an owned id, computed from `s` for a loaded one.
+    #[inline]
+    pub(crate) fn signature(&self, id: StringId, s: &[u8]) -> u64 {
+        match (id as usize).checked_sub(self.loaded) {
+            Some(i) => self.tail_sigs[i],
+            None => char_signature(s),
         }
     }
 
@@ -621,6 +639,7 @@ impl Inner {
             self.short.push(id); // new ids are maximal: stays ascending
         }
         self.tail.push(Some(s.into()));
+        self.tail_sigs.push(char_signature(s));
         self.string_bytes += s.len() as u64;
         self.live += 1;
         id

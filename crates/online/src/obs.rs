@@ -16,7 +16,7 @@
 //! |------|------|---------|
 //! | `passjoin_requests_total` | counter | requests executed through the typed `search*` paths |
 //! | `passjoin_candidates_total` | counter | inverted-list occurrences screened (≡ summed [`ExecStats::candidates`](crate::ExecStats)) |
-//! | `passjoin_verifications_total` | counter | extension-cascade verifications (≡ `ExecStats::verifications`) |
+//! | `passjoin_verifications_total` | counter | segment-lane verifications, a signature reject counted once (≡ `ExecStats::verifications`) |
 //! | `passjoin_short_checked_total` | counter | short-lane brute-force checks (≡ `ExecStats::short_checked`) |
 //! | `passjoin_segment_matches_total` | counter | matches accepted from the segment lane (≡ `ExecStats::segment_matches`) |
 //! | `passjoin_short_matches_total` | counter | matches accepted from the short lane (≡ `ExecStats::short_matches`) |

@@ -98,9 +98,9 @@ impl Parallelism {
 ///
 /// A budget bounds *work*, not results: at most `max_candidates` scanned
 /// posting entries, at most `max_verifications` edit-distance
-/// computations (short-lane checks and segment-lane cascade entries
-/// alike), and optionally a deadline against a pluggable [`TickSource`]
-/// (so tests stay deterministic — see
+/// computations (short-lane checks and segment-lane verifications alike,
+/// a signature reject included), and optionally a deadline against a
+/// pluggable [`TickSource`] (so tests stay deterministic — see
 /// [`ManualTicks`](passjoin::sink::ManualTicks)). When a cap trips,
 /// probing aborts through the sink's saturation path and the outcome
 /// reports [`Completion::Truncated`] with the reason. A tripped budget
@@ -540,8 +540,10 @@ pub enum CacheOutcome {
 pub struct ExecStats {
     /// Posting-list entries scanned in the segment lane.
     pub candidates: u64,
-    /// Segment-lane candidates that entered the verification cascade
-    /// (survived dedup and the sink's length bound).
+    /// Segment-lane candidates that entered verification (survived dedup
+    /// and the sink's length bound). A candidate rejected early by its
+    /// character signature, before the extension cascade, counts as one,
+    /// against a `max_verifications` budget too.
     pub verifications: u64,
     /// Short-lane strings checked by direct edit distance.
     pub short_checked: u64,

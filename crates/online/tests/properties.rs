@@ -5,6 +5,8 @@
 //! corpora from `datagen`. On top of that: results must be independent of
 //! insertion order, survive insert → remove → insert churn, and agree
 //! across the single, batched, parallel, cached, and snapshot query paths.
+//! The join and path properties also run over bytes that share a bucket of
+//! the engine's character signature (`c & 63`).
 
 use passjoin::PassJoin;
 use passjoin_online::{CachePolicy, Match, OnlineIndex, Parallelism, Queryable, SearchRequest};
@@ -82,6 +84,18 @@ fn dense_corpus() -> impl Strategy<Value = Vec<Vec<u8>>> {
     )
 }
 
+/// A dense corpus whose bytes `a`, `!` and `0xE1` share one signature
+/// bucket and `b` has its own, so screening cannot tell them apart.
+fn aliasing_corpus() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            prop_oneof![Just(b'a'), Just(b'!'), Just(0xE1u8), Just(b'b')],
+            0..12,
+        ),
+        0..24,
+    )
+}
+
 fn wide_corpus() -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(proptest::collection::vec(97u8..=122, 0..30), 0..16)
 }
@@ -90,8 +104,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn matches_batch_join_dense(strings in dense_corpus(), tau_max in 1usize..5) {
+    fn matches_batch_join_dense(
+        strings in dense_corpus(),
+        aliased in aliasing_corpus(),
+        tau_max in 1usize..5,
+    ) {
         check_matches_batch_join(&strings, tau_max);
+        check_matches_batch_join(&aliased, tau_max);
     }
 
     #[test]
@@ -100,13 +119,19 @@ proptest! {
     }
 
     #[test]
-    fn batch_paths_agree_with_single_queries(strings in dense_corpus(), tau_max in 1usize..4) {
-        let index = OnlineIndex::from_strings(strings.iter(), tau_max);
-        let queries: Vec<Vec<u8>> = strings.to_vec();
-        let single: Vec<_> = queries.iter().map(|q| index.matches(q, tau_max)).collect();
-        prop_assert_eq!(&batch(&index, &queries, tau_max, 1), &single);
-        prop_assert_eq!(&batch(&index, &queries, tau_max, 3), &single);
-        prop_assert_eq!(&batch(&index.snapshot(), &queries, tau_max, 2), &single);
+    fn batch_paths_agree_with_single_queries(
+        strings in dense_corpus(),
+        aliased in aliasing_corpus(),
+        tau_max in 1usize..4,
+    ) {
+        for strings in [strings, aliased] {
+            let index = OnlineIndex::from_strings(strings.iter(), tau_max);
+            let queries: Vec<Vec<u8>> = strings.to_vec();
+            let single: Vec<_> = queries.iter().map(|q| index.matches(q, tau_max)).collect();
+            prop_assert_eq!(&batch(&index, &queries, tau_max, 1), &single);
+            prop_assert_eq!(&batch(&index, &queries, tau_max, 3), &single);
+            prop_assert_eq!(&batch(&index.snapshot(), &queries, tau_max, 2), &single);
+        }
     }
 
     #[test]

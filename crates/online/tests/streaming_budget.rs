@@ -16,7 +16,9 @@
 //!    the unbudgeted one, the work counters never exceed the cap, and
 //!    `Truncated` is reported **iff** work was actually skipped (a cap
 //!    at or above the total work never trips and returns the exact
-//!    answer).
+//!    answer). A candidate rejected by its character signature before
+//!    the extension cascade counts as one verification, against the cap
+//!    too.
 //! 3. **The cache stays exact** — budget-tripped and streamed
 //!    computations never populate the cache, while shaped requests are
 //!    answered from a stored full result by sort-truncate/len
@@ -358,6 +360,59 @@ fn verification_cap_observably_reduces_work() {
     );
     assert!(work(&capped) < work(&full));
     assert!(capped.matches.len() <= full.matches.len());
+}
+
+/// A signature reject is a verification that failed early: it counts in
+/// `ExecStats::verifications` and against `max_verifications`, on both
+/// stores. Each near miss shares one segment with the query, so it is a
+/// candidate, but differs from it in eight signature buckets, over the
+/// 2τ the screen lets through.
+#[test]
+fn a_signature_reject_counts_as_one_verification() {
+    let query = b"abcdefgh";
+    let tau = 1;
+    let mut strings = vec![query.to_vec()];
+    for other in [&b"IJKL"[..], b"MNOP", b"QRST", b"UVWX"] {
+        strings.push([&query[..4], other].concat()); // shares slot 1's "abcd"
+        strings.push([other, &query[4..]].concat()); // shares slot 2's "efgh"
+    }
+    let query_sig = editdist::char_signature(query);
+    for s in &strings[1..] {
+        let bound = editdist::signature_bound(query_sig, editdist::char_signature(s));
+        assert!(
+            bound > tau,
+            "{:?} passes the screen",
+            String::from_utf8_lossy(s)
+        );
+    }
+    let req = SearchRequest::borrowed(query, tau);
+    let capped = |cap| {
+        req.clone()
+            .with_budget(ExecBudget::new().with_max_verifications(cap))
+    };
+    for index in stores(&strings, tau) {
+        let full = index.search(&req);
+        assert_eq!(*full.matches, vec![(0, 0)]);
+        // The copy is a candidate through both segments and verified
+        // once; each of the eight near misses is one candidate and one
+        // verification.
+        assert_eq!(full.stats.candidates, 2 + 8);
+        assert_eq!(full.stats.verifications, 1 + 8);
+        for cap in 0..full.stats.verifications {
+            let outcome = index.search(&capped(cap));
+            assert_eq!(
+                outcome.completion,
+                Completion::Truncated {
+                    reason: TruncationReason::VerificationCap
+                },
+                "cap {cap}"
+            );
+            assert_eq!(outcome.stats.verifications, cap, "cap {cap}");
+        }
+        let exact = index.search(&capped(full.stats.verifications));
+        assert_eq!(exact.completion, Completion::Complete);
+        assert_eq!(exact.stats, full.stats);
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use passjoin_obs::Registry;
 use passjoin_online::{
-    EngineObs, KeyBackend, OnlineIndex, PersistError, Queryable, SearchRequest, ShardBy,
-    ShardedIndex,
+    CollectSink, EngineObs, KeyBackend, OnlineIndex, PersistError, Queryable, SearchRequest,
+    ShardBy, ShardedIndex,
 };
 use passjoin_store::delta::{apply_delta, read_delta_file};
 use passjoin_store::{
@@ -369,11 +369,14 @@ fn chained_instant_opens_reject_a_corrupt_base() {
 }
 
 /// Without a chain, an instant open checks its file in the background,
-/// so a save or the first mutation can run before the check reports. A
-/// flipped byte in any section from the span table (2) to the id blob (9)
-/// must then cost the save an error and the insert a rebuilt segment
-/// lane, never a panic, and the check must still fail the file. `remove`
-/// is left out: a flipped key byte can replay into postings that
+/// so queries, a save or the first mutation can run before the check
+/// reports. A flipped byte in any section from the span table (2) to the
+/// id blob (9) must then cost a query at most a wrong answer (a posting
+/// may name an id past the table, or a segment may disagree with the
+/// string read in place), the save an error and the insert a rebuilt
+/// segment lane, never a panic, and the check must still fail the file.
+/// Queries run through `search`, `search_streaming` and `search_batch`.
+/// `remove` is left out: a flipped key byte can replay into postings that
 /// disagree with the strings.
 #[test]
 fn saves_and_inserts_before_the_check_survive_a_corrupt_file() {
@@ -383,6 +386,11 @@ fn saves_and_inserts_before_the_check_survive_a_corrupt_file() {
     let pristine = std::fs::read(&source).unwrap();
     let file = passjoin_persist::SnapshotFile::parse_lazy(pristine.clone().into()).unwrap();
     let resaved = scratch.path("resaved.snap");
+    let queries = probe_queries();
+    let reqs: Vec<SearchRequest> = queries
+        .iter()
+        .map(|q| SearchRequest::borrowed(q, 2))
+        .collect();
     for section in file.section_ids().filter(|id| (2..=9).contains(id)) {
         let range = file.section_range(section).unwrap();
         let step = (range.len() / 64).max(1);
@@ -393,6 +401,11 @@ fn saves_and_inserts_before_the_check_survive_a_corrupt_file() {
             std::fs::write(&base, &flipped).unwrap();
             let options = OpenOptions::new().mmap(true).instant(true);
             if let Ok(store) = CheckpointedIndex::open(&base, options) {
+                for req in &reqs {
+                    store.search(req);
+                    store.search_streaming(req, &mut CollectSink::new(&mut Vec::new()));
+                }
+                store.search_batch(&reqs);
                 let _ = store.save_full(&resaved);
                 store.insert(b"record-0100-delta");
                 assert!(
